@@ -188,9 +188,10 @@ type Circuit struct {
 	prog *isa.Program
 	// copies[w] holds one physical DC line per consumer of wire w.
 	copies [][]mem.Symbol
-	// Cached entry labels for the per-run path.
-	setEntries  [][2]string
-	readEntries []string
+	// Entry points, resolved at compile time for the per-run path.
+	setEntries  [][2]int
+	readEntries []int
+	prep, fire  int
 }
 
 // MaxFanout bounds how many distinct consumers (gates plus circuit
@@ -409,21 +410,25 @@ func CompileCircuit(m *Machine, spec *CircuitSpec) (*Circuit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling circuit: %w", err)
 	}
-	c := &Circuit{m: m, spec: *spec, prog: prog, copies: copies}
+	c := &Circuit{m: m, spec: *spec, prog: prog, copies: copies,
+		prep: prog.MustEntry("prep"), fire: prog.MustEntry("fire")}
 	for i := 0; i < spec.NumInputs; i++ {
-		c.setEntries = append(c.setEntries, [2]string{
-			fmt.Sprintf("setin%d_0", i), fmt.Sprintf("setin%d_1", i)})
+		c.setEntries = append(c.setEntries, [2]int{
+			prog.MustEntry(fmt.Sprintf("setin%d_0", i)), prog.MustEntry(fmt.Sprintf("setin%d_1", i))})
 	}
 	for k := range spec.Outputs {
-		c.readEntries = append(c.readEntries, fmt.Sprintf("read%d", k))
+		c.readEntries = append(c.readEntries, prog.MustEntry(fmt.Sprintf("read%d", k)))
 	}
 	// Warm the program: transient windows can only run cached code, so
 	// a cold circuit's first fire would starve (skelly's run-time
 	// initialization, §6.2).
-	warm := append([]string{"prep", "fire"}, c.readEntries...)
+	warm := []string{"prep", "fire"}
+	for k := range spec.Outputs {
+		warm = append(warm, fmt.Sprintf("read%d", k))
+	}
 	warm = append(warm, "prep")
 	for _, entry := range warm {
-		if _, err := m.run(prog, entry); err != nil {
+		if _, err := m.run(prog, prog.MustEntry(entry)); err != nil {
 			return nil, fmt.Errorf("core: warming circuit/%s: %w", entry, err)
 		}
 	}
@@ -450,7 +455,7 @@ func (c *Circuit) Run(inputs ...int) ([]int, error) {
 			return nil, err
 		}
 	}
-	if _, err := c.m.run(c.prog, "prep"); err != nil {
+	if _, err := c.m.run(c.prog, c.prep); err != nil {
 		return nil, err
 	}
 	for i := 0; i < c.spec.NumInputs; i++ {
@@ -458,7 +463,7 @@ func (c *Circuit) Run(inputs ...int) ([]int, error) {
 			c.m.perturbData(cp)
 		}
 	}
-	if _, err := c.m.run(c.prog, "fire"); err != nil {
+	if _, err := c.m.run(c.prog, c.fire); err != nil {
 		return nil, err
 	}
 	out := make([]int, len(c.spec.Outputs))

@@ -71,8 +71,10 @@ type BPGate struct {
 	prepCache bool // prep pre-caches the output (eviction gates)
 	wire      bpWiring
 	truth     func(in []int) int
-	// Cached per-block entry labels, so activations allocate nothing.
-	trainT, trainNT, touch, flushB []string
+	// Per-block and shared entry points, resolved when the gate is
+	// built so activations neither look up labels nor allocate.
+	trainT, trainNT, touch, flushB []int
+	prep, fire, read               int
 	// span is the pre-built profiling frame name ("gate:AND").
 	span string
 
@@ -92,9 +94,7 @@ func (g *BPGate) Program() *isa.Program { return g.prog }
 // FireUses reports whether the fire section uses the given opcode —
 // the architectural-invisibility check.
 func (g *BPGate) FireUses(op isa.Op) bool {
-	from := g.prog.MustEntry("fire")
-	to := g.prog.MustEntry("read")
-	return g.prog.Uses(op, from, to)
+	return g.prog.Uses(op, g.fire, g.read)
 }
 
 // Golden returns the gate's reference truth value for the inputs.
@@ -152,7 +152,7 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 
 	// Reset outputs and the branch-condition lines.
 	sp = g.m.BeginSpan(SpanPrep)
-	if _, err := g.m.run(g.prog, "prep"); err != nil {
+	if _, err := g.m.run(g.prog, g.prep); err != nil {
 		g.m.EndSpan(gsp)
 		return 0, 0, err
 	}
@@ -165,7 +165,7 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 	}
 	g.m.perturbData(g.out)
 
-	if _, err := g.m.run(g.prog, "fire"); err != nil {
+	if _, err := g.m.run(g.prog, g.fire); err != nil {
 		g.m.EndSpan(gsp)
 		return 0, 0, err
 	}
@@ -173,7 +173,7 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 	g.m.EndSpan(sp)
 
 	sp = g.m.BeginSpan(SpanRead)
-	if _, err := g.m.run(g.prog, "read"); err != nil {
+	if _, err := g.m.run(g.prog, g.read); err != nil {
 		g.m.EndSpan(gsp)
 		return 0, 0, err
 	}
@@ -325,12 +325,15 @@ func buildBPGate(m *Machine, name string, blocks []bpBlockSpec, prepCache bool, 
 		wire:      wire,
 		truth:     truth,
 		span:      "gate:" + name,
+		prep:      prog.MustEntry("prep"),
+		fire:      prog.MustEntry("fire"),
+		read:      prog.MustEntry("read"),
 	}
 	for i := range blocks {
-		g.trainT = append(g.trainT, fmt.Sprintf("train%d_t", i))
-		g.trainNT = append(g.trainNT, fmt.Sprintf("train%d_nt", i))
-		g.touch = append(g.touch, fmt.Sprintf("touch%d", i))
-		g.flushB = append(g.flushB, fmt.Sprintf("flushb%d", i))
+		g.trainT = append(g.trainT, prog.MustEntry(fmt.Sprintf("train%d_t", i)))
+		g.trainNT = append(g.trainNT, prog.MustEntry(fmt.Sprintf("train%d_nt", i)))
+		g.touch = append(g.touch, prog.MustEntry(fmt.Sprintf("touch%d", i)))
+		g.flushB = append(g.flushB, prog.MustEntry(fmt.Sprintf("flushb%d", i)))
 	}
 	g.fires, g.readLat = m.gateInstruments(name, "bp")
 	return g, nil

@@ -44,9 +44,11 @@ type TSXGate struct {
 	ins     []mem.Symbol
 	outs    []mem.Symbol
 	truth   func(in []int) []int
-	// setEntries[i][b] caches the input-setter label names so the
-	// per-activation path allocates no strings.
-	setEntries [][2]string
+	// setEntries[i][b] is the entry point that writes bit b to input
+	// i; it and prep, fire and read are resolved when the gate is
+	// built, so activations never look up a label.
+	setEntries       [][2]int
+	prep, fire, read int
 	// span is the pre-built profiling frame name ("gate:TSX_AND"), so
 	// activations never concatenate strings.
 	span string
@@ -80,9 +82,7 @@ func (g *TSXGate) Golden(in []int) []int { return g.truth(in) }
 // FireUses reports whether the fire section (the weird circuit itself)
 // uses the given opcode.
 func (g *TSXGate) FireUses(op isa.Op) bool {
-	from := g.prog.MustEntry("fire")
-	to := g.prog.MustEntry("read")
-	return g.prog.Uses(op, from, to)
+	return g.prog.Uses(op, g.fire, g.read)
 }
 
 // WriteInput sets input i's DC-WR to the given bit architecturally
@@ -98,7 +98,7 @@ func (g *TSXGate) WriteInput(i, bit int) error {
 // pre-caching eviction targets) without firing.
 func (g *TSXGate) Prep() error {
 	sp := g.m.BeginSpan(SpanPrep)
-	_, err := g.m.run(g.prog, "prep")
+	_, err := g.m.run(g.prog, g.prep)
 	g.m.EndSpan(sp)
 	return err
 }
@@ -112,7 +112,7 @@ func (g *TSXGate) Fire() error {
 	for _, in := range g.ins {
 		g.m.perturbData(in)
 	}
-	if _, err := g.m.run(g.prog, "fire"); err != nil {
+	if _, err := g.m.run(g.prog, g.fire); err != nil {
 		g.m.EndSpan(sp)
 		return err
 	}
@@ -127,7 +127,7 @@ func (g *TSXGate) Fire() error {
 // returns the logic values and raw latencies.
 func (g *TSXGate) ReadOutputs() ([]int, []int64, error) {
 	sp := g.m.BeginSpan(SpanRead)
-	if _, err := g.m.run(g.prog, "read"); err != nil {
+	if _, err := g.m.run(g.prog, g.read); err != nil {
 		g.m.EndSpan(sp)
 		return nil, nil, err
 	}
@@ -265,18 +265,19 @@ func (t *tsxBuild) finish(name string, arity, outputs int, truth func([]int) []i
 	if prog.End() > prog.Base+codeRegionSize {
 		return nil, fmt.Errorf("core: gate %s overflows its code region", name)
 	}
-	set := make([][2]string, len(t.ins))
+	set := make([][2]int, len(t.ins))
 	for i := range set {
-		set[i] = [2]string{fmt.Sprintf("setin%d_0", i), fmt.Sprintf("setin%d_1", i)}
+		set[i] = [2]int{prog.MustEntry(fmt.Sprintf("setin%d_0", i)), prog.MustEntry(fmt.Sprintf("setin%d_1", i))}
 	}
 	g := &TSXGate{
 		m: t.m, name: name, arity: arity, outputs: outputs,
 		prog: prog, ins: t.ins, outs: t.outs, truth: truth,
 		setEntries: set, span: "gate:" + name,
+		prep: prog.MustEntry("prep"), fire: prog.MustEntry("fire"), read: prog.MustEntry("read"),
 	}
 	g.fires, g.readLat = t.m.gateInstruments(name, "tsx")
 	for _, entry := range []string{"prep", "fire", "read", "prep"} {
-		if _, err := t.m.run(prog, entry); err != nil {
+		if _, err := t.m.run(prog, prog.MustEntry(entry)); err != nil {
 			return nil, fmt.Errorf("core: warming %s/%s: %w", name, entry, err)
 		}
 	}

@@ -111,9 +111,10 @@ type Machine struct {
 	// Calibration assets are built once and reused by Recalibrate: the
 	// probe symbol and program cannot be rebuilt, as Layout.AllocLine
 	// rejects duplicate names and codeRegion bump-allocates.
-	calibProbe mem.Symbol
-	calibProg  *isa.Program
-	calibCount int64
+	calibProbe          mem.Symbol
+	calibProg           *isa.Program
+	calibMiss, calibHit int // calibProg's entry points
+	calibCount          int64
 
 	// healthTap receives calibration and timed-read events only (see
 	// Options.HealthTap).
@@ -272,9 +273,11 @@ func (m *Machine) evictBase(victim mem.Symbol, count int, tag string) []mem.Symb
 	return syms
 }
 
-// run executes prog from entry, propagating simulator errors.
-func (m *Machine) run(prog *isa.Program, entry string) (cpu.Result, error) {
-	return m.cpu.Run(prog, entry)
+// run executes prog from instruction index entry, propagating
+// simulator errors. Gates resolve their entry labels to indices when
+// they are built (prog.MustEntry), so activations never look a label up.
+func (m *Machine) run(prog *isa.Program, entry int) (cpu.Result, error) {
+	return m.cpu.RunAt(prog, entry)
 }
 
 // emitTimedRead publishes a gate's measured read latency on the
@@ -362,16 +365,17 @@ func (m *Machine) calibrate() error {
 			return err
 		}
 		m.calibProg = prog
+		m.calibMiss, m.calibHit = prog.MustEntry("miss"), prog.MustEntry("hit")
 	}
 	const samples = 33
 	miss := make([]int64, 0, samples)
 	hit := make([]int64, 0, samples)
 	for i := 0; i < samples; i++ {
-		if _, err := m.run(m.calibProg, "miss"); err != nil {
+		if _, err := m.run(m.calibProg, m.calibMiss); err != nil {
 			return err
 		}
 		miss = append(miss, int64(m.cpu.Reg(isa.R12)-m.cpu.Reg(isa.R10)))
-		if _, err := m.run(m.calibProg, "hit"); err != nil {
+		if _, err := m.run(m.calibProg, m.calibHit); err != nil {
 			return err
 		}
 		hit = append(hit, int64(m.cpu.Reg(isa.R12)-m.cpu.Reg(isa.R10)))

@@ -38,6 +38,28 @@ type wrBase struct {
 	threshold int64
 	// fastIsOne reports whether a fast read means logic 1.
 	fastIsOne bool
+	// read and write[bit] are the program's entry points, resolved
+	// when the register is built.
+	read  int
+	write [2]int
+}
+
+// newWRBase resolves a register program's entry points: "read", and
+// the entries w0 and w1 that write 0 and 1.
+func newWRBase(m *Machine, name string, prog *isa.Program, w0, w1 string) wrBase {
+	return wrBase{
+		m: m, name: name, prog: prog,
+		read:  prog.MustEntry("read"),
+		write: [2]int{prog.MustEntry(w0), prog.MustEntry(w1)},
+	}
+}
+
+// writeEntry returns the entry point that writes bit.
+func (w *wrBase) writeEntry(bit int) int {
+	if bit != 0 {
+		return w.write[1]
+	}
+	return w.write[0]
 }
 
 // Name implements WeirdRegister.
@@ -45,7 +67,7 @@ func (w *wrBase) Name() string { return w.name }
 
 // ReadRaw runs the register's read entry and classifies the latency.
 func (w *wrBase) ReadRaw() (int, int64, error) {
-	if _, err := w.m.run(w.prog, "read"); err != nil {
+	if _, err := w.m.run(w.prog, w.read); err != nil {
 		return 0, 0, err
 	}
 	d := w.m.readDelta()
@@ -73,7 +95,7 @@ func (w *wrBase) calibrateWR(write func(int) error) error {
 			if err := write(bit); err != nil {
 				return err
 			}
-			if _, err := w.m.run(w.prog, "read"); err != nil {
+			if _, err := w.m.run(w.prog, w.read); err != nil {
 				return err
 			}
 			d := w.m.readDelta()
@@ -113,7 +135,7 @@ func NewDCWR(m *Machine) (*DCWR, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &DCWR{wrBase: wrBase{m: m, name: "d-cache", prog: prog}, sym: sym}
+	r := &DCWR{wrBase: newWRBase(m, "d-cache", prog, "w0", "w1"), sym: sym}
 	if err := r.calibrateWR(r.Write); err != nil {
 		return nil, err
 	}
@@ -122,11 +144,7 @@ func NewDCWR(m *Machine) (*DCWR, error) {
 
 // Write implements WeirdRegister.
 func (r *DCWR) Write(bit int) error {
-	entry := "w0"
-	if bit != 0 {
-		entry = "w1"
-	}
-	_, err := r.m.run(r.prog, entry)
+	_, err := r.m.run(r.prog, r.writeEntry(bit))
 	return err
 }
 
@@ -155,7 +173,7 @@ func NewICWR(m *Machine) (*ICWR, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ICWR{wrBase: wrBase{m: m, name: "i-cache", prog: prog}}
+	r := &ICWR{wrBase: newWRBase(m, "i-cache", prog, "w0", "read")}
 	if err := r.calibrateWR(r.Write); err != nil {
 		return nil, err
 	}
@@ -165,11 +183,7 @@ func NewICWR(m *Machine) (*ICWR, error) {
 // Write implements WeirdRegister: executing the body is the write-1
 // (reading is the same operation, so Read also writes 1).
 func (r *ICWR) Write(bit int) error {
-	entry := "w0"
-	if bit != 0 {
-		entry = "read" // call code = cache it
-	}
-	_, err := r.m.run(r.prog, entry)
+	_, err := r.m.run(r.prog, r.writeEntry(bit))
 	return err
 }
 
@@ -194,7 +208,7 @@ func NewBPWR(m *Machine) (*BPWR, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &BPWR{wrBase: wrBase{m: m, name: "branch-predictor", prog: prog}}
+	r := &BPWR{wrBase: newWRBase(m, "branch-predictor", prog, "w0", "w1")}
 	if err := r.calibrateWR(r.Write); err != nil {
 		return nil, err
 	}
@@ -204,10 +218,7 @@ func NewBPWR(m *Machine) (*BPWR, error) {
 // Write implements WeirdRegister: train the branch TrainIterations
 // times in the desired direction.
 func (r *BPWR) Write(bit int) error {
-	entry := "w0"
-	if bit != 0 {
-		entry = "w1"
-	}
+	entry := r.writeEntry(bit)
 	for i := 0; i < r.m.TrainIterations(); i++ {
 		if _, err := r.m.run(r.prog, entry); err != nil {
 			return err
@@ -241,7 +252,7 @@ func NewBTBWR(m *Machine) (*BTBWR, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &BTBWR{wrBase: wrBase{m: m, name: "btb", prog: prog}}
+	r := &BTBWR{wrBase: newWRBase(m, "btb", prog, "jmpA", "jmpA2")}
 	if err := r.calibrateWR(r.Write); err != nil {
 		return nil, err
 	}
@@ -251,11 +262,9 @@ func NewBTBWR(m *Machine) (*BTBWR, error) {
 // Write implements WeirdRegister: executing one of the aliased jumps
 // installs its target in the shared BTB entry.
 func (r *BTBWR) Write(bit int) error {
-	entry := "jmpA" // installs target B: the aliased read will miss
-	if bit != 0 {
-		entry = "jmpA2" // installs target C: the read predicts right
-	}
-	_, err := r.m.run(r.prog, entry)
+	// jmpA installs target B, so the aliased read misses; jmpA2
+	// installs target C, so the read predicts right.
+	_, err := r.m.run(r.prog, r.writeEntry(bit))
 	return err
 }
 
@@ -265,6 +274,7 @@ func (r *BTBWR) Write(bit int) error {
 // hundred cycles (§3.1's volatility property).
 type MulWR struct {
 	wrBase
+	idle int
 }
 
 // NewMulWR builds a multiplier-contention weird register.
@@ -297,7 +307,7 @@ func NewMulWR(m *Machine) (*MulWR, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &MulWR{wrBase: wrBase{m: m, name: "mul-contention", prog: prog}}
+	r := &MulWR{wrBase: newWRBase(m, "mul-contention", prog, "w0", "w1"), idle: prog.MustEntry("idle")}
 	if err := r.calibrateWR(r.Write); err != nil {
 		return nil, err
 	}
@@ -306,18 +316,14 @@ func NewMulWR(m *Machine) (*MulWR, error) {
 
 // Write implements WeirdRegister.
 func (r *MulWR) Write(bit int) error {
-	entry := "w0"
-	if bit != 0 {
-		entry = "w1"
-	}
-	_, err := r.m.run(r.prog, entry)
+	_, err := r.m.run(r.prog, r.writeEntry(bit))
 	return err
 }
 
 // Idle burns a few hundred cycles without touching the multiply unit,
 // letting tests observe the register's decay.
 func (r *MulWR) Idle() error {
-	_, err := r.m.run(r.prog, "idle")
+	_, err := r.m.run(r.prog, r.idle)
 	return err
 }
 
@@ -327,6 +333,7 @@ func (r *MulWR) Idle() error {
 // stalls while the pressure persists. Volatile like MulWR.
 type ROBWR struct {
 	wrBase
+	idle int
 }
 
 // NewROBWR builds a ROB-contention weird register.
@@ -356,7 +363,7 @@ func NewROBWR(m *Machine) (*ROBWR, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ROBWR{wrBase: wrBase{m: m, name: "rob-contention", prog: prog}}
+	r := &ROBWR{wrBase: newWRBase(m, "rob-contention", prog, "w0", "w1"), idle: prog.MustEntry("idle")}
 	if err := r.calibrateWR(r.Write); err != nil {
 		return nil, err
 	}
@@ -365,17 +372,13 @@ func NewROBWR(m *Machine) (*ROBWR, error) {
 
 // Write implements WeirdRegister.
 func (r *ROBWR) Write(bit int) error {
-	entry := "w0"
-	if bit != 0 {
-		entry = "w1"
-	}
-	_, err := r.m.run(r.prog, entry)
+	_, err := r.m.run(r.prog, r.writeEntry(bit))
 	return err
 }
 
 // Idle burns cycles so tests can observe decay.
 func (r *ROBWR) Idle() error {
-	_, err := r.m.run(r.prog, "idle")
+	_, err := r.m.run(r.prog, r.idle)
 	return err
 }
 

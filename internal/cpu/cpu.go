@@ -27,6 +27,7 @@ const neverReady = math.MaxInt64 / 4
 
 // Result reports one Run call's outcome and counters.
 type Result struct {
+	// Entry is the label Run started at; RunAt leaves it empty.
 	Entry          string
 	Steps          int   // committed instructions
 	StartCycle     int64 // TSC at entry
@@ -42,7 +43,8 @@ type Result struct {
 // Cycles returns the simulated duration of the run.
 func (r Result) Cycles() int64 { return r.EndCycle - r.StartCycle }
 
-// transaction is one open TSX region.
+// transaction is one open TSX region. A CPU owns one record and reuses
+// it for every region, so entering a transaction allocates nothing.
 type transaction struct {
 	regs     [isa.NumRegs]uint64
 	ready    [isa.NumRegs]int64
@@ -60,6 +62,13 @@ type transaction struct {
 type memWrite struct {
 	addr mem.Addr
 	old  uint64
+}
+
+// mshr is one outstanding line fill: the line and the absolute cycle
+// its fill completes.
+type mshr struct {
+	line mem.Addr
+	done int64
 }
 
 // CPU is the simulated processor. State — caches, predictors, TSC,
@@ -88,16 +97,23 @@ type CPU struct {
 	robStamp    int64
 	lastDst     isa.Reg
 	hasLastDst  bool
+	// mulDecay and robDecay are the shared decay tables for the two
+	// configured half-lives (see decayTable).
+	mulDecay, robDecay []float64
 
-	// inflight maps a line address to the absolute cycle its pending
-	// fill completes. It models MSHR merging: a second access to a
-	// line whose miss is still in flight completes when the fill
-	// arrives rather than magically hitting — without this, the TSX
-	// AND chain of Figure 3 (whose add reuses an operand another chain
-	// is already fetching) would be wrongly fast.
-	inflight map[mem.Addr]int64
+	// inflight holds the pending line fills, at most one entry per
+	// line. It models MSHR merging: a second access to a line whose
+	// miss is still in flight completes when the fill arrives rather
+	// than magically hitting — without this, the TSX AND chain of
+	// Figure 3 (whose add reuses an operand another chain is already
+	// fetching) would be wrongly fast. Only a handful of fills are ever
+	// outstanding at once, so a slice scan beats a map.
+	inflight []mshr
 
-	txn *transaction
+	// txn is the open transaction (nil outside one); it always points
+	// at txnRec.
+	txn    *transaction
+	txnRec transaction
 	// observed models an attached debugger or single-stepping tracer:
 	// transactional regions abort the moment they begin.
 	observed bool
@@ -138,7 +154,8 @@ func New(cfg Config, m *mem.Memory, ns *noise.Source) *CPU {
 		btb:      branch.NewBTB(cfg.BTBSize),
 		rsb:      branch.NewRSB(cfg.RSBDepth),
 		ns:       ns,
-		inflight: make(map[mem.Addr]int64),
+		mulDecay: decayTable(cfg.MulPressureHalfLife),
+		robDecay: decayTable(cfg.ROBPressureHalfLife),
 	}
 	if cfg.UseGShare {
 		c.dir = branch.NewGShare(cfg.PredictorSize, cfg.GShareHistoryBits)
@@ -177,10 +194,34 @@ func (c *CPU) TSC() int64 { return c.clock }
 // completion cycle), a diagnostics probe for tests.
 func (c *CPU) Inflight() map[mem.Addr]int64 {
 	cp := make(map[mem.Addr]int64, len(c.inflight))
-	for k, v := range c.inflight {
-		cp[k] = v
+	for _, e := range c.inflight {
+		cp[e.line] = e.done
 	}
 	return cp
+}
+
+// findInflight returns the index of line's pending fill, or -1.
+func (c *CPU) findInflight(line mem.Addr) int {
+	for i, e := range c.inflight {
+		if e.line == line {
+			return i
+		}
+	}
+	return -1
+}
+
+// removeInflight deletes pending fill i; the table is unordered.
+func (c *CPU) removeInflight(i int) {
+	last := len(c.inflight) - 1
+	c.inflight[i] = c.inflight[last]
+	c.inflight = c.inflight[:last]
+}
+
+// dropInflight forgets line's pending fill, if any.
+func (c *CPU) dropInflight(line mem.Addr) {
+	if i := c.findInflight(line); i >= 0 {
+		c.removeInflight(i)
+	}
 }
 
 // Reg returns the architectural value of r.
@@ -253,7 +294,15 @@ func (c *CPU) Run(prog *isa.Program, entry string) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Entry: entry, StartCycle: c.clock}
+	res, err := c.RunAt(prog, idx)
+	res.Entry = entry
+	return res, err
+}
+
+// RunAt is Run from instruction index idx, for callers that resolved
+// their entry labels once (prog.Entry) rather than on every run.
+func (c *CPU) RunAt(prog *isa.Program, idx int) (Result, error) {
+	res := Result{StartCycle: c.clock}
 	for {
 		if idx < 0 || idx >= len(prog.Code) {
 			return res, fmt.Errorf("cpu: control fell off program at index %d", idx)
@@ -390,14 +439,14 @@ func (c *CPU) step(prog *isa.Program, idx int, inst *isa.Inst, res *Result) (int
 	case isa.CLF:
 		addr := inst.SymAddr + mem.Addr(inst.Imm)
 		c.hier.FlushData(addr)
-		delete(c.inflight, addr.Line())
+		c.dropInflight(addr.Line())
 		c.record(trace.KindCacheFlush, inst.Addr, addr, 0, "clflush")
 		c.clock += cfg.FlushLatency
 
 	case isa.CLFL:
 		addr := prog.Code[inst.TargetIdx].Addr.Line()
 		c.hier.FlushInst(addr)
-		delete(c.inflight, addr.Line())
+		c.dropInflight(addr.Line())
 		if c.tracing() {
 			c.record(trace.KindCacheFlush, inst.Addr, addr, 0, "clflush.i "+inst.Target)
 		}
@@ -553,7 +602,10 @@ func (c *CPU) xbegin(prog *isa.Program, idx int, inst *isa.Inst, res *Result) (i
 	if c.txn != nil {
 		return 0, errors.New("cpu: nested transactions are not supported")
 	}
-	c.txn = &transaction{regs: c.regs, ready: c.ready, abortIdx: inst.TargetIdx}
+	t := &c.txnRec
+	t.regs, t.ready, t.abortIdx = c.regs, c.ready, inst.TargetIdx
+	t.writes, t.events = t.writes[:0], t.events[:0]
+	c.txn = t
 	c.stats.TxBegins++
 	c.clock += c.cfg.XBeginLatency
 	if c.tracing() {
@@ -649,8 +701,8 @@ func (c *CPU) memAccess(addr mem.Addr, issue int64) int64 {
 			lat = 1
 		}
 	}
-	if done, ok := c.inflight[line]; ok {
-		if done > issue && lvl == cache.LevelL1 {
+	if i := c.findInflight(line); i >= 0 {
+		if done := c.inflight[i].done; done > issue && lvl == cache.LevelL1 {
 			// The line is present but its fill is still in flight
 			// (this access hit an MSHR): it completes when the fill
 			// arrives, not at L1 latency. This is what keeps the TSX
@@ -664,10 +716,10 @@ func (c *CPU) memAccess(addr mem.Addr, issue int64) int64 {
 		// Without the presence check, a stale entry could service a
 		// read of a line an eviction-set gate just pushed out, making
 		// the gate misread its own output.
-		delete(c.inflight, line)
+		c.removeInflight(i)
 	}
 	if lvl != cache.LevelL1 {
-		c.inflight[line] = issue + lat
+		c.inflight = append(c.inflight, mshr{line: line, done: issue + lat})
 	}
 	return lat
 }
@@ -695,11 +747,13 @@ func (c *CPU) serialize() {
 	if c.horizon > c.clock {
 		c.clock = c.horizon
 	}
-	for line := range c.inflight {
-		if c.inflight[line] <= c.clock {
-			delete(c.inflight, line)
+	live := c.inflight[:0]
+	for _, e := range c.inflight {
+		if e.done > c.clock {
+			live = append(live, e)
 		}
 	}
+	c.inflight = live
 }
 
 func alu(op isa.Op, a, b uint64) uint64 {
