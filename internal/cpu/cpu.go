@@ -268,8 +268,9 @@ func (c *CPU) Recorder() *trace.Recorder {
 
 // tracing reports whether an attached sink would observe an emitted
 // event; emit sites use it to skip expensive event assembly
-// (disassembly, formatting).
-func (c *CPU) tracing() bool { return trace.Enabled(c.sink) }
+// (disassembly, formatting). The nil test is spelled out so that it
+// inlines into the per-instruction loop.
+func (c *CPU) tracing() bool { return c.sink != nil && trace.Enabled(c.sink) }
 
 // record emits an event when a live sink is attached. Architectural
 // events produced inside an open transaction are buffered and only
