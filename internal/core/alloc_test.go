@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// activationCost returns the heap allocations and bytes one call of f
-// costs, averaged over runs calls after a warm-up call. Like
-// testing.AllocsPerRun it pins GOMAXPROCS to 1 while measuring.
-func activationCost(runs int, f func()) (allocs, bytes float64) {
+// bytesPerRun is testing.AllocsPerRun for heap bytes: the bytes one
+// call of f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
 	var before, after runtime.MemStats
@@ -17,8 +16,7 @@ func activationCost(runs int, f func()) (allocs, bytes float64) {
 		f()
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs),
-		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestTSXActivationAllocs guards the untraced TSX activation: the
@@ -40,13 +38,15 @@ func TestTSXActivationAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(400, run); allocs > 3 {
 		t.Errorf("TSX_AND activation: %v allocs, want at most 3", allocs)
 	}
-	if _, bytes := activationCost(400, run); bytes > 64 {
+	if bytes := bytesPerRun(400, run); bytes > 64 {
 		t.Errorf("TSX_AND activation: %v B, want at most 64", bytes)
 	}
 }
 
-// TestBPActivationAllocs guards the untraced BP activation at its
-// current cost: the variadic inputs and the two wiring slices.
+// TestBPActivationAllocs guards the untraced BP activation, which
+// allocates nothing: the gate's wiring is data, so the variadic inputs
+// stay on the caller's stack. Heap statistics are process-wide, so the
+// byte bound leaves room for a stray runtime allocation in the window.
 func TestBPActivationAllocs(t *testing.T) {
 	m := MustNewMachine(Options{Seed: 7, TrainIterations: 4})
 	g, err := NewBPAnd(m)
@@ -60,10 +60,10 @@ func TestBPActivationAllocs(t *testing.T) {
 		}
 		i++
 	}
-	if allocs := testing.AllocsPerRun(400, run); allocs > 3 {
-		t.Errorf("AND activation: %v allocs, want at most 3", allocs)
+	if allocs := testing.AllocsPerRun(400, run); allocs != 0 {
+		t.Errorf("AND activation: %v allocs, want 0", allocs)
 	}
-	if _, bytes := activationCost(400, run); bytes > 32 {
-		t.Errorf("AND activation: %v B, want at most 32", bytes)
+	if bytes := bytesPerRun(400, run); bytes >= 1 {
+		t.Errorf("AND activation: %v B, want under 1", bytes)
 	}
 }

@@ -30,32 +30,25 @@ import (
 // section contains no architectural boolean instruction, and the store
 // that sets the output line never commits.
 
-// trainDir is a BP-WR write direction.
-type trainDir bool
+// fixed marks a block write that does not depend on the gate's inputs.
+const fixed = -1
 
-const (
-	trainTaken    trainDir = false // predict taken: skip body, logic 0
-	trainNotTaken trainDir = true  // predict not-taken: speculate into body, logic 1
-)
-
-// icMode is an IC-WR write mode for one speculative body.
-type icMode int
-
-const (
-	icFlushed icMode = iota // logic 0: body cold, window too short to fetch it
-	icCached                // logic 1: body hot, executes transiently
-	icAlways                // block's IC-WR is not an input; keep hot
-)
-
-// bpBlockSpec describes one speculative block of a BP gate.
+// bpBlockSpec describes one speculative block of a BP gate and wires
+// its two weird registers to the gate's inputs.
 type bpBlockSpec struct {
 	// evict selects an eviction-set body (loads that push the output
 	// line out of the hierarchy) instead of a store body.
 	evict bool
+	// trainIn is the input whose bit is written to the block's BP-WR:
+	// 1 trains the branch not taken, so it later speculates into the
+	// body; 0 trains it taken, skipping the body. fixed always trains
+	// not taken.
+	trainIn int
+	// icIn is the input whose bit is written to the block's IC-WR: 1
+	// executes the body, caching it so it runs transiently; 0 flushes
+	// it, so the window is too short to fetch it. fixed keeps it hot.
+	icIn int
 }
-
-// bpWiring maps gate inputs to per-block WR writes.
-type bpWiring func(in []int) (train []trainDir, ic []icMode)
 
 // BPGate is a weird gate of the branch-predictor/instruction-cache
 // family.
@@ -69,7 +62,6 @@ type BPGate struct {
 	bodyLines []mem.Addr
 	blocks    []bpBlockSpec
 	prepCache bool // prep pre-caches the output (eviction gates)
-	wire      bpWiring
 	truth     func(in []int) int
 	// Per-block and shared entry points, resolved when the gate is
 	// built so activations neither look up labels nor allocate.
@@ -114,18 +106,17 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 		return 0, 0, fmt.Errorf("core: gate %s wants %d inputs, got %d", g.name, g.arity, len(in))
 	}
 	gsp := g.m.BeginSpan(g.span)
-	train, ic := g.wire(in)
 
 	// Write the BP-WRs: execute each block's branch with the desired
 	// direction, TrainIterations times.
 	sp := g.m.BeginSpan(SpanTrain)
-	for blk, dir := range train {
+	for blk, spec := range g.blocks {
 		if g.m.ns.TrainFail() {
 			continue // training destroyed by aliasing activity
 		}
-		entry := g.trainT[blk]
-		if dir == trainNotTaken {
-			entry = g.trainNT[blk]
+		entry := g.trainNT[blk]
+		if spec.trainIn != fixed && in[spec.trainIn] == 0 {
+			entry = g.trainT[blk]
 		}
 		for i := 0; i < g.m.TrainIterations(); i++ {
 			if _, err := g.m.run(g.prog, entry); err != nil {
@@ -138,9 +129,9 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 
 	// Write the IC-WRs: execute or flush each block's body.
 	sp = g.m.BeginSpan(SpanICWrite)
-	for blk, mode := range ic {
+	for blk, spec := range g.blocks {
 		entry := g.touch[blk]
-		if mode == icFlushed {
+		if spec.icIn != fixed && in[spec.icIn] == 0 {
 			entry = g.flushB[blk]
 		}
 		if _, err := g.m.run(g.prog, entry); err != nil {
@@ -193,7 +184,7 @@ func condReg(blk int) isa.Reg { return isa.Reg(uint8(isa.R1) + uint8(blk)) }
 // buildBPGate assembles the multi-entry program shared by the whole
 // family. Each block contributes a train pair, a touch/flush pair and a
 // speculative body; prep and read are common.
-func buildBPGate(m *Machine, name string, blocks []bpBlockSpec, prepCache bool, arity int, wire bpWiring, truth func([]int) int) (*BPGate, error) {
+func buildBPGate(m *Machine, name string, blocks []bpBlockSpec, prepCache bool, arity int, truth func([]int) int) (*BPGate, error) {
 	id := m.nextGateID()
 	tag := fmt.Sprintf("g%d.%s", id, name)
 
@@ -322,7 +313,6 @@ func buildBPGate(m *Machine, name string, blocks []bpBlockSpec, prepCache bool, 
 		bodyLines: bodyLines,
 		blocks:    blocks,
 		prepCache: prepCache,
-		wire:      wire,
 		truth:     truth,
 		span:      "gate:" + name,
 		prep:      prog.MustEntry("prep"),
@@ -344,10 +334,7 @@ func buildBPGate(m *Machine, name string, blocks []bpBlockSpec, prepCache bool, 
 // filled only when the branch mispredicts into the body and the body is
 // already in the instruction cache.
 func NewBPAnd(m *Machine) (*BPGate, error) {
-	return buildBPGate(m, "AND", []bpBlockSpec{{}}, false, 2,
-		func(in []int) ([]trainDir, []icMode) {
-			return []trainDir{dirOf(in[1])}, []icMode{icOf(in[0])}
-		},
+	return buildBPGate(m, "AND", []bpBlockSpec{{trainIn: 1, icIn: 0}}, false, 2,
 		func(in []int) int { return in[0] & in[1] },
 	)
 }
@@ -356,10 +343,7 @@ func NewBPAnd(m *Machine) (*BPGate, error) {
 // The first branch is always mistrained and its body's IC state is input
 // a; the second branch's BP-WR is input b and its body stays hot.
 func NewBPOr(m *Machine) (*BPGate, error) {
-	return buildBPGate(m, "OR", []bpBlockSpec{{}, {}}, false, 2,
-		func(in []int) ([]trainDir, []icMode) {
-			return []trainDir{trainNotTaken, dirOf(in[1])}, []icMode{icOf(in[0]), icAlways}
-		},
+	return buildBPGate(m, "OR", []bpBlockSpec{{trainIn: fixed, icIn: 0}, {trainIn: 1, icIn: fixed}}, false, 2,
 		func(in []int) int { return in[0] | in[1] },
 	)
 }
@@ -369,10 +353,7 @@ func NewBPOr(m *Machine) (*BPGate, error) {
 // hierarchy — so the output drops to 0 exactly when both inputs are 1.
 // NAND gives the family functional completeness (§3.2).
 func NewBPNand(m *Machine) (*BPGate, error) {
-	return buildBPGate(m, "NAND", []bpBlockSpec{{evict: true}}, true, 2,
-		func(in []int) ([]trainDir, []icMode) {
-			return []trainDir{dirOf(in[1])}, []icMode{icOf(in[0])}
-		},
+	return buildBPGate(m, "NAND", []bpBlockSpec{{evict: true, trainIn: 1, icIn: 0}}, true, 2,
 		func(in []int) int { return 1 - in[0]&in[1] },
 	)
 }
@@ -381,24 +362,7 @@ func NewBPNand(m *Machine) (*BPGate, error) {
 // paper's full adder uses (§5.2): two speculative blocks, each an AND of
 // its BP-WR and IC-WR, both storing to the same output line.
 func NewBPAndAndOr(m *Machine) (*BPGate, error) {
-	return buildBPGate(m, "AND_AND_OR", []bpBlockSpec{{}, {}}, false, 4,
-		func(in []int) ([]trainDir, []icMode) {
-			return []trainDir{dirOf(in[1]), dirOf(in[3])}, []icMode{icOf(in[0]), icOf(in[2])}
-		},
+	return buildBPGate(m, "AND_AND_OR", []bpBlockSpec{{trainIn: 1, icIn: 0}, {trainIn: 3, icIn: 2}}, false, 4,
 		func(in []int) int { return in[0]&in[1] | in[2]&in[3] },
 	)
-}
-
-func dirOf(bit int) trainDir {
-	if bit != 0 {
-		return trainNotTaken
-	}
-	return trainTaken
-}
-
-func icOf(bit int) icMode {
-	if bit != 0 {
-		return icCached
-	}
-	return icFlushed
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"uwm/internal/isa"
@@ -88,5 +89,28 @@ func TestInflightTable(t *testing.T) {
 	}
 	if fl := c.Inflight(); len(fl) != 0 {
 		t.Errorf("after fence: inflight %v, want empty", fl)
+	}
+}
+
+// TestDecayTableConcurrentBuild builds CPUs with a half-life no other
+// test uses from several goroutines at once: every CPU must end up
+// with the one shared table (run under -race).
+func TestDecayTableConcurrentBuild(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ROBPressureHalfLife = 77.25
+	cpus := make([]*CPU, 4)
+	var wg sync.WaitGroup
+	for i := range cpus {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cpus[i] = New(cfg, mem.New(), noise.NewSource(uint64(i), noise.Quiet()))
+		}()
+	}
+	wg.Wait()
+	for _, c := range cpus[1:] {
+		if &c.robDecay[0] != &cpus[0].robDecay[0] {
+			t.Fatal("concurrently built CPUs hold separate decay tables")
+		}
 	}
 }
