@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_$(shell date +%Y%m%d-%H%M%S).json
 
-.PHONY: all build test race race-shard vet staticcheck fmt-check ci serve-smoke slo-smoke cluster-smoke bench bench-report bench-compare clean
+.PHONY: all build test race race-shard micro-bench vet staticcheck fmt-check ci serve-smoke slo-smoke cluster-smoke bench bench-report bench-compare clean
 
 all: build
 
@@ -21,6 +21,13 @@ race-shard:
 	$(GO) test -race -count=2 \
 		./internal/engine/... ./internal/flightrec ./internal/health \
 		./internal/slo ./internal/evlog ./internal/cluster
+
+# micro-bench runs one iteration of each gate-activation, cache and
+# cpu micro-benchmark, so they keep compiling and running.
+micro-bench:
+	$(GO) test -run '^$$' \
+		-bench 'GateOp_|Hierarchy|LRU|Flush|CommittedALU|TimedLoad|SpeculativeWindow|TSXAbortWindow' \
+		-benchtime 1x . ./internal/cache ./internal/cpu
 
 vet:
 	$(GO) vet ./...
@@ -43,7 +50,7 @@ fmt-check:
 # ci is the gate a pull request must pass: formatting, static checks,
 # a clean build, the full test suite under the race detector, and the
 # job-service and gate-health smoke tests.
-ci: fmt-check vet staticcheck build race race-shard serve-smoke slo-smoke cluster-smoke health-smoke
+ci: fmt-check vet staticcheck build race race-shard micro-bench serve-smoke slo-smoke cluster-smoke health-smoke
 
 # serve-smoke boots uwm-serve on an ephemeral port, runs the example
 # client under a known request id, fetches that job's flight-recording

@@ -63,6 +63,13 @@ go test -race -count=2 \
 	./internal/engine/... ./internal/flightrec ./internal/health \
 	./internal/slo ./internal/evlog ./internal/cluster
 
+echo "== hot-path micro-benchmarks =="
+# One iteration each of the gate-activation, cache and cpu
+# micro-benchmarks, so they keep compiling and running.
+go test -run '^$' \
+	-bench 'GateOp_|Hierarchy|LRU|Flush|CommittedALU|TimedLoad|SpeculativeWindow|TSXAbortWindow' \
+	-benchtime 1x . ./internal/cache ./internal/cpu
+
 echo "== uwm-serve smoke =="
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
