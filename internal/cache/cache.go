@@ -164,10 +164,10 @@ type Cache struct {
 	pow2  bool
 	lines []mem.Addr
 	// last is the lines index of the most recent Access hit, at way
-	// lastWay of set lastSet. Instruction fetch walks a code line
-	// sixteen instructions at a time, so the next lookup usually wants
-	// the same line, and when lines[last] still holds it the set scan
-	// is skipped. The check is exact: a line sits in at most one way,
+	// lastWay of set lastSet. Instruction fetch walks a code line one
+	// instruction at a time, so the next lookup usually wants the same
+	// line, and when lines[last] still holds it the set scan is
+	// skipped. The check is exact: a line sits in at most one way,
 	// and a way that was refilled or flushed no longer matches.
 	last, lastSet, lastWay int
 	// Exactly one policy is non-nil; the cache calls it directly.

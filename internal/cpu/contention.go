@@ -16,9 +16,10 @@ import (
 // the stored bit evaporates after a few hundred cycles, the volatility
 // property of §3.1.
 
-// decayTableLen is how many integer gaps a decay table memoizes. The
-// per-instruction updates decay over a few cycles; gaps from one gate
-// activation to the next reach a few hundred.
+// decayTableLen is how many integer gaps a decay table memoizes.
+// Per-instruction updates decay over a few cycles, and the gaps left by
+// serializing reads and between gate activations stay well under a
+// thousand, so the math.Exp2 fallback is rare.
 const decayTableLen = 1024
 
 // decayTables holds one read-only decay table per half-life, shared by
