@@ -30,8 +30,8 @@ import (
 // section contains no architectural boolean instruction, and the store
 // that sets the output line never commits.
 
-// fixed marks a block write that does not depend on the gate's inputs.
-const fixed = -1
+// noInput marks a block register write that no gate input drives.
+const noInput = -1
 
 // bpBlockSpec describes one speculative block of a BP gate and wires
 // its two weird registers to the gate's inputs.
@@ -41,12 +41,12 @@ type bpBlockSpec struct {
 	evict bool
 	// trainIn is the input whose bit is written to the block's BP-WR:
 	// 1 trains the branch not taken, so it later speculates into the
-	// body; 0 trains it taken, skipping the body. fixed always trains
+	// body; 0 trains it taken, skipping the body. noInput always trains
 	// not taken.
 	trainIn int
 	// icIn is the input whose bit is written to the block's IC-WR: 1
 	// executes the body, caching it so it runs transiently; 0 flushes
-	// it, so the window is too short to fetch it. fixed keeps it hot.
+	// it, so the window is too short to fetch it. noInput keeps it hot.
 	icIn int
 }
 
@@ -115,7 +115,7 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 			continue // training destroyed by aliasing activity
 		}
 		entry := g.trainNT[blk]
-		if spec.trainIn != fixed && in[spec.trainIn] == 0 {
+		if spec.trainIn != noInput && in[spec.trainIn] == 0 {
 			entry = g.trainT[blk]
 		}
 		for i := 0; i < g.m.TrainIterations(); i++ {
@@ -131,7 +131,7 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 	sp = g.m.BeginSpan(SpanICWrite)
 	for blk, spec := range g.blocks {
 		entry := g.touch[blk]
-		if spec.icIn != fixed && in[spec.icIn] == 0 {
+		if spec.icIn != noInput && in[spec.icIn] == 0 {
 			entry = g.flushB[blk]
 		}
 		if _, err := g.m.run(g.prog, entry); err != nil {
@@ -343,7 +343,7 @@ func NewBPAnd(m *Machine) (*BPGate, error) {
 // The first branch is always mistrained and its body's IC state is input
 // a; the second branch's BP-WR is input b and its body stays hot.
 func NewBPOr(m *Machine) (*BPGate, error) {
-	return buildBPGate(m, "OR", []bpBlockSpec{{trainIn: fixed, icIn: 0}, {trainIn: 1, icIn: fixed}}, false, 2,
+	return buildBPGate(m, "OR", []bpBlockSpec{{trainIn: noInput, icIn: 0}, {trainIn: 1, icIn: noInput}}, false, 2,
 		func(in []int) int { return in[0] | in[1] },
 	)
 }
