@@ -12,6 +12,7 @@
 package main
 
 import (
+	"crypto/sha1"
 	"flag"
 	"fmt"
 	"io"
@@ -94,7 +95,7 @@ func run() int {
 
 	fmt.Printf("%x\n", digest)
 
-	ref := sha1wm.Sum(data)
+	ref := sha1.Sum(data)
 	if digest != ref {
 		return fail("MISMATCH against reference %x — gate errors escaped redundancy; raise -s/-n", ref)
 	}

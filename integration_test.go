@@ -5,6 +5,7 @@ package uwm_test
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -90,7 +91,7 @@ func TestObservedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if digest != sha1wm.Sum([]byte("observed")) {
+	if digest != sha1.Sum([]byte("observed")) {
 		t.Fatal("digest mismatch under observation")
 	}
 	for _, op := range []string{"and", "or", "xor"} {

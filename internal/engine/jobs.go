@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"crypto/sha1"
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
@@ -14,7 +15,6 @@ import (
 	"uwm/internal/core"
 	"uwm/internal/covert"
 	"uwm/internal/noise"
-	"uwm/internal/sha1wm"
 	"uwm/internal/wmapt"
 )
 
@@ -274,7 +274,7 @@ func runSHA1Job(ctx context.Context, env *Env, params json.RawMessage) (any, err
 	if err != nil {
 		return nil, err
 	}
-	ref := sha1wm.Sum(msg)
+	ref := sha1.Sum(msg)
 	return SHA1Result{
 		Digest:    hex.EncodeToString(sum[:]),
 		Reference: hex.EncodeToString(ref[:]),

@@ -1,6 +1,7 @@
 package evalharness
 
 import (
+	"crypto/sha1"
 	"fmt"
 
 	"uwm/internal/benchreport"
@@ -185,7 +186,7 @@ func Table4(p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ok := digest == sha1wm.Sum(msg)
+	ok := digest == sha1.Sum(msg)
 
 	t := &Table{
 		Title:  fmt.Sprintf("Table 4: Correct / incorrect gate executions in %d-block SHA-1 hash experiment", p.SHA1Blocks),

@@ -2,36 +2,13 @@ package sha1wm
 
 import (
 	"bytes"
-	"encoding/hex"
+	"crypto/sha1"
 	"testing"
 	"testing/quick"
 
 	"uwm/internal/core"
 	"uwm/internal/skelly"
 )
-
-// FIPS 180-1 / RFC 3174 test vectors.
-var refVectors = []struct{ in, hexDigest string }{
-	{"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
-	{"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
-	{"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-		"84983e441c3bd26ebaae4aa1f95129e5e54670f1"},
-	{"The quick brown fox jumps over the lazy dog",
-		"2fd4e1c67a2d28fced849ee1bb76e7391b93eb12"},
-}
-
-func TestReferenceVectors(t *testing.T) {
-	for _, v := range refVectors {
-		got := Sum([]byte(v.in))
-		want, err := hex.DecodeString(v.hexDigest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got[:], want) {
-			t.Errorf("Sum(%q) = %x, want %s", v.in, got, v.hexDigest)
-		}
-	}
-}
 
 func TestPadProperties(t *testing.T) {
 	f := func(msg []byte) bool {
@@ -68,7 +45,7 @@ func weirdHasher(t *testing.T) *Hasher {
 }
 
 // TestWeirdSHA1OneBlock runs the full μWM SHA-1 on a single-block
-// message and compares against the reference — ~10⁵ correct gate
+// message and compares against crypto/sha1 — ~10⁵ correct gate
 // executions are needed for this to pass.
 func TestWeirdSHA1OneBlock(t *testing.T) {
 	if testing.Short() {
@@ -80,7 +57,7 @@ func TestWeirdSHA1OneBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Sum(msg)
+	want := sha1.Sum(msg)
 	if got != want {
 		t.Fatalf("weird SHA-1 = %x, want %x", got, want)
 	}
@@ -106,7 +83,7 @@ func TestWeirdSHA1TwoBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Sum(msg); got != want {
+	if want := sha1.Sum(msg); got != want {
 		t.Fatalf("weird SHA-1 = %x, want %x", got, want)
 	}
 }

@@ -2,10 +2,11 @@ package wmapt
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"errors"
 	"fmt"
 
-	"uwm/internal/aes"
 	"uwm/internal/core"
 	"uwm/internal/metrics"
 	"uwm/internal/noise"
@@ -35,6 +36,21 @@ var jmpMarker = [4]byte{0xE9, 0x42, 0x01, 0x00}
 
 // divZeroMarker encodes the tmp = tmp/0 instruction.
 var divZeroMarker = [4]byte{0xF7, 0xF0, 0x00, 0x00}
+
+// keySize is the AES-128 key length both obfuscation systems use.
+const keySize = 16
+
+// ctr encrypts or decrypts src under AES-128-CTR (the operation is its
+// own inverse), so payloads of any length need no padding.
+func ctr(key, iv, src []byte) ([]byte, error) {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(src))
+	cipher.NewCTR(block, iv).XORKeyStream(out, src)
+	return out, nil
+}
 
 // DefaultEvalMultiple is how many XOR transforms the APT tries per
 // received ping; the paper chose 10 (§5.1).
@@ -148,7 +164,7 @@ func (a *APT) Install(p Payload) (otp.Pad, error) {
 	rng := a.m.Noise().RNG()
 	pad := otp.NewPad(rng)
 
-	var key [aes.KeySize]byte
+	var key [keySize]byte
 	rng.Bytes(key[:])
 	var iv [aes.BlockSize]byte
 	rng.Bytes(iv[:])
@@ -157,11 +173,7 @@ func (a *APT) Install(p Payload) (otp.Pad, error) {
 	if err != nil {
 		return pad, err
 	}
-	cipher, err := aes.NewCipher(key[:])
-	if err != nil {
-		return pad, err
-	}
-	encPayload, err := cipher.CTR(iv[:], plainPayload)
+	encPayload, err := ctr(key[:], iv[:], plainPayload)
 	if err != nil {
 		return pad, err
 	}
@@ -266,11 +278,7 @@ func (a *APT) HandlePing(ping otp.Pad) (*Result, error) {
 			continue
 		}
 		key := result[4:otp.PadBytes]
-		cipher, err := aes.NewCipher(key)
-		if err != nil {
-			return nil, err
-		}
-		plain, err := cipher.CTR(a.region[offIV:offPayload], a.region[offPayload:])
+		plain, err := ctr(key, a.region[offIV:offPayload], a.region[offPayload:])
 		if err != nil {
 			return nil, err
 		}

@@ -2,9 +2,9 @@ package wmapt
 
 import (
 	"bytes"
+	"crypto/aes"
 	"fmt"
 
-	"uwm/internal/aes"
 	"uwm/internal/sha1wm"
 	"uwm/internal/skelly"
 )
@@ -42,7 +42,7 @@ func (hl *HashLock) keyFromTrigger(trigger []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d[:aes.KeySize], nil
+	return d[:keySize], nil
 }
 
 // Install encrypts the payload under the trigger-derived key and stores
@@ -62,12 +62,8 @@ func (hl *HashLock) Install(p Payload, trigger []byte) error {
 	if err != nil {
 		return err
 	}
-	cipher, err := aes.NewCipher(key)
-	if err != nil {
-		return err
-	}
 	copy(hl.iv[:], digest[4:]) // public IV derived from the stored hash
-	enc, err := cipher.CTR(hl.iv[:], plain)
+	enc, err := ctr(key, hl.iv[:], plain)
 	if err != nil {
 		return err
 	}
@@ -102,11 +98,7 @@ func (hl *HashLock) HandleInput(candidate []byte) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cipher, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
-	plain, err := cipher.CTR(hl.iv[:], hl.encrypted)
+	plain, err := ctr(key, hl.iv[:], hl.encrypted)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,10 @@
 package wmapt
 
 import (
+	"crypto/sha1"
 	"testing"
 
 	"uwm/internal/core"
-	"uwm/internal/sha1wm"
 	"uwm/internal/skelly"
 )
 
@@ -42,7 +42,7 @@ func TestHashLockLifecycle(t *testing.T) {
 	}
 	// The stored hash matches a reference SHA-1 of the trigger: the
 	// weird hash computes the real function.
-	if hl.TriggerHash() != sha1wm.Sum(trigger) {
+	if hl.TriggerHash() != sha1.Sum(trigger) {
 		t.Error("stored condition hash is not SHA-1 of the trigger")
 	}
 
