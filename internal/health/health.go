@@ -192,7 +192,7 @@ func (m *Monitor) Emit(e trace.Event) {
 		m.resetDriftLocked()
 		m.mu.Unlock()
 	case trace.KindTimedRead:
-		gate, _, bit, ok := parseTimedRead(e.Text)
+		gate, _, bit, ok := trace.ParseTimedRead(e.Text)
 		if !ok {
 			return
 		}
@@ -603,19 +603,6 @@ func RenderSnapshot(s Snapshot, width int) string {
 		}
 	}
 	return sb.String()
-}
-
-// parseTimedRead extracts the gate name, output index and decoded bit
-// from the timed-read text payload ("gate=NAME out=N bit=B").
-func parseTimedRead(text string) (gate string, out, bit int, ok bool) {
-	if !strings.HasPrefix(text, "gate=") {
-		return "", 0, 0, false
-	}
-	n, err := fmt.Sscanf(text, "gate=%s out=%d bit=%d", &gate, &out, &bit)
-	if err != nil || n != 3 {
-		return "", 0, 0, false
-	}
-	return gate, out, bit, true
 }
 
 // familyOf maps a gate name to its hardware family: TSX post-fault gates

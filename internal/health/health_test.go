@@ -296,14 +296,17 @@ func TestRenderSnapshot(t *testing.T) {
 	}
 }
 
+// TestParseTimedRead: the monitor decodes timed reads with the shared
+// trace codec and drops every payload the codec rejects.
 func TestParseTimedRead(t *testing.T) {
-	gate, out, bit, ok := parseTimedRead("gate=TSX_AND out=2 bit=1")
-	if !ok || gate != "TSX_AND" || out != 2 || bit != 1 {
-		t.Errorf("parse = %q %d %d %v", gate, out, bit, ok)
+	m := NewMonitor(Config{})
+	m.Emit(calib(129, 0))
+	m.Emit(trace.Event{Kind: trace.KindTimedRead, Cycle: 1, Value: 36, Text: trace.FormatTimedRead("TSX_AND", 2, 1)})
+	for _, bad := range []string{"", "gate=", "nope", "gate=X out=y bit=z", "gate=X out=0 bit=7"} {
+		m.Emit(trace.Event{Kind: trace.KindTimedRead, Cycle: 2, Value: 36, Text: bad})
 	}
-	for _, bad := range []string{"", "gate=", "nope", "gate=X out=y bit=z"} {
-		if _, _, _, ok := parseTimedRead(bad); ok {
-			t.Errorf("parse accepted %q", bad)
-		}
+	s := m.Snapshot()
+	if s.Reads != 1 || len(s.Gates) != 1 || s.Gates[0].Gate != "TSX_AND" {
+		t.Errorf("want exactly the one well-formed read: %+v", s)
 	}
 }

@@ -125,15 +125,16 @@ func TestParseRejectsChromeFormat(t *testing.T) {
 	}
 }
 
+// TestParseGateText: Analyze decodes timed reads with the shared trace
+// codec and skips every payload the codec rejects.
 func TestParseGateText(t *testing.T) {
-	gate, out, bit, ok := parseGateText("gate=TSX_AND out=1 bit=0")
-	if !ok || gate != "TSX_AND" || out != 1 || bit != 0 {
-		t.Errorf("parseGateText: %q %d %d %v", gate, out, bit, ok)
+	events := []trace.Event{{Kind: trace.KindTimedRead, Cycle: 1, Value: 30, Text: trace.FormatTimedRead("TSX_AND", 1, 0)}}
+	for i, bad := range []string{"", "window open", "gate=X out=0 bit=7", "gate=X bit=1", "out=0 bit=1"} {
+		events = append(events, trace.Event{Kind: trace.KindTimedRead, Cycle: int64(i + 2), Value: 30, Text: bad})
 	}
-	for _, bad := range []string{"", "window open", "gate=X out=0 bit=7", "gate=X bit=1", "out=0 bit=1"} {
-		if _, _, _, ok := parseGateText(bad); ok {
-			t.Errorf("parseGateText accepted %q", bad)
-		}
+	r := Analyze(events, Options{})
+	if len(r.Gates) != 1 || r.Gates[0].Gate != "TSX_AND" || r.Gates[0].Reads != 1 || r.Gates[0].Bits[0] != 1 {
+		t.Errorf("want exactly the one well-formed read: %+v", r.Gates)
 	}
 }
 
