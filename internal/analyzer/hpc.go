@@ -15,7 +15,9 @@ import (
 //
 // HPCDetector samples the CPU's lifetime counters over a window of
 // committed instructions and scores the event rates against thresholds
-// calibrated on benign code.
+// calibrated on benign code. Offline, package traceanalyze counts the
+// same events in a recorded trace and judges them with the same
+// HPCThresholds.Judge.
 
 // HPCSample is one observation window of counter deltas.
 type HPCSample struct {
@@ -25,6 +27,7 @@ type HPCSample struct {
 	TxAborts       uint64
 	TxCommits      uint64
 	SpuriousAborts uint64
+	CacheFlushes   uint64
 }
 
 // MispredictRate returns mispredicts per committed instruction.
@@ -36,6 +39,12 @@ func (s HPCSample) AbortRate() float64 { return rate(s.TxAborts, s.Committed) }
 // AbortFraction returns aborts per transaction.
 func (s HPCSample) AbortFraction() float64 { return rate(s.TxAborts, s.TxAborts+s.TxCommits) }
 
+// FlushRate returns clflush instructions per committed instruction.
+func (s HPCSample) FlushRate() float64 { return rate(s.CacheFlushes, s.Committed) }
+
+// SpecRate returns speculative windows per committed instruction.
+func (s HPCSample) SpecRate() float64 { return rate(s.SpecWindows, s.Committed) }
+
 func rate(n, d uint64) float64 {
 	if d == 0 {
 		return 0
@@ -45,9 +54,10 @@ func rate(n, d uint64) float64 {
 
 // HPCThresholds calibrates the detector. The defaults flag behaviour
 // far outside anything benign code produces: benign programs commit
-// the vast majority of their transactions and mispredict on a few
-// percent of instructions, while μWM gates abort *by design* and
-// mistrain branches on purpose.
+// the vast majority of their transactions, mispredict on a few percent
+// of instructions and essentially never execute clflush, while μWM
+// gates abort *by design*, mistrain branches on purpose and flush their
+// inputs constantly.
 type HPCThresholds struct {
 	// MaxMispredictRate is the benign ceiling for mispredicts per
 	// committed instruction.
@@ -55,6 +65,12 @@ type HPCThresholds struct {
 	// MaxAbortFraction is the benign ceiling for aborted transactions
 	// per transaction.
 	MaxAbortFraction float64
+	// MaxFlushRate is the benign ceiling for clflush instructions per
+	// committed instruction.
+	MaxFlushRate float64
+	// MaxSpecRate is the benign ceiling for speculative windows per
+	// committed instruction.
+	MaxSpecRate float64
 	// MinEvents avoids judging windows with too little activity.
 	MinEvents uint64
 }
@@ -69,8 +85,42 @@ func DefaultHPCThresholds() HPCThresholds {
 		// aborts its fire transaction every single activation (≈50%
 		// counting its committing read transaction).
 		MaxAbortFraction: 0.35,
-		MinEvents:        64,
+		// μWM input writes flush a line per activation; BP gates sit
+		// near 9% of instructions, TSX gates near 2.5%.
+		MaxFlushRate: 0.02,
+		// Benign code opens a speculative window on at most a few
+		// percent of instructions.
+		MaxSpecRate: 0.05,
+		MinEvents:   64,
 	}
+}
+
+// Judge scores one sample. A window with fewer than MinEvents
+// committed instructions gets no verdict, only a caveat in Reasons.
+// The abort-fraction rule needs at least four transactions.
+func (th HPCThresholds) Judge(s HPCSample) Verdict {
+	v := Verdict{Sample: s}
+	if s.Committed < th.MinEvents {
+		v.Reasons = append(v.Reasons, fmt.Sprintf("window too small to judge (%d committed < %d)", s.Committed, th.MinEvents))
+		return v
+	}
+	flag := func(format string, args ...any) {
+		v.Suspicious = true
+		v.Reasons = append(v.Reasons, fmt.Sprintf(format, args...))
+	}
+	if r := s.MispredictRate(); r > th.MaxMispredictRate {
+		flag("mispredict rate %.3f/inst exceeds %.3f", r, th.MaxMispredictRate)
+	}
+	if f := s.AbortFraction(); s.TxAborts+s.TxCommits >= 4 && f > th.MaxAbortFraction {
+		flag("tx abort fraction %.3f exceeds %.3f", f, th.MaxAbortFraction)
+	}
+	if r := s.FlushRate(); r > th.MaxFlushRate {
+		flag("clflush rate %.4f/inst exceeds %.4f", r, th.MaxFlushRate)
+	}
+	if r := s.SpecRate(); r > th.MaxSpecRate {
+		flag("speculative-window rate %.4f/inst exceeds %.4f", r, th.MaxSpecRate)
+	}
+	return v
 }
 
 // HPCDetector scores counter rates sourced from a metrics registry —
@@ -113,6 +163,7 @@ func (d *HPCDetector) cumulative() HPCSample {
 		TxAborts:       read(cpu.MetricTxAborts),
 		TxCommits:      read(cpu.MetricTxCommits),
 		SpuriousAborts: read(cpu.MetricSpuriousAborts),
+		CacheFlushes:   read(cpu.MetricFlushes),
 	}
 }
 
@@ -127,6 +178,7 @@ func (d *HPCDetector) Sample() HPCSample {
 		TxAborts:       now.TxAborts - d.last.TxAborts,
 		TxCommits:      now.TxCommits - d.last.TxCommits,
 		SpuriousAborts: now.SpuriousAborts - d.last.SpuriousAborts,
+		CacheFlushes:   now.CacheFlushes - d.last.CacheFlushes,
 	}
 	d.last = now
 	return s
@@ -141,29 +193,15 @@ type Verdict struct {
 
 // String renders the verdict for logs.
 func (v Verdict) String() string {
-	if !v.Suspicious {
-		return fmt.Sprintf("benign (mispredict %.3f/inst, abort fraction %.3f)",
-			v.Sample.MispredictRate(), v.Sample.AbortFraction())
+	switch {
+	case v.Suspicious:
+		return fmt.Sprintf("SUSPICIOUS: %v", v.Reasons)
+	case len(v.Reasons) > 0:
+		return fmt.Sprintf("no verdict: %v", v.Reasons)
 	}
-	return fmt.Sprintf("SUSPICIOUS: %v", v.Reasons)
+	return fmt.Sprintf("benign (mispredict %.3f/inst, abort fraction %.3f)",
+		v.Sample.MispredictRate(), v.Sample.AbortFraction())
 }
 
 // Judge samples the window and scores it.
-func (d *HPCDetector) Judge() Verdict {
-	s := d.Sample()
-	v := Verdict{Sample: s}
-	if s.Committed < d.th.MinEvents {
-		return v
-	}
-	if r := s.MispredictRate(); r > d.th.MaxMispredictRate {
-		v.Suspicious = true
-		v.Reasons = append(v.Reasons, fmt.Sprintf("mispredict rate %.3f/inst exceeds %.3f", r, d.th.MaxMispredictRate))
-	}
-	if s.TxAborts+s.TxCommits >= 4 {
-		if f := s.AbortFraction(); f > d.th.MaxAbortFraction {
-			v.Suspicious = true
-			v.Reasons = append(v.Reasons, fmt.Sprintf("tx abort fraction %.3f exceeds %.3f", f, d.th.MaxAbortFraction))
-		}
-	}
-	return v
-}
+func (d *HPCDetector) Judge() Verdict { return d.th.Judge(d.Sample()) }

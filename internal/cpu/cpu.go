@@ -120,6 +120,11 @@ type CPU struct {
 	ns       *noise.Source
 	sink     trace.Sink
 	stats    Stats
+	// flushes counts executed clflush instructions, the event the HPC
+	// detector's flush rule rates. It sits outside Stats because the
+	// cache levels' flush counters only see flushes that found their
+	// line, and Stats' printed form is pinned by the golden test.
+	flushes uint64
 	// histSpec, when attached, observes every speculative window's
 	// length in cycles — the distribution that decides whether gate
 	// bodies fit their windows.
@@ -441,6 +446,7 @@ func (c *CPU) step(prog *isa.Program, idx int, inst *isa.Inst, res *Result) (int
 		addr := inst.SymAddr + mem.Addr(inst.Imm)
 		c.hier.FlushData(addr)
 		c.dropInflight(addr.Line())
+		c.flushes++
 		c.record(trace.KindCacheFlush, inst.Addr, addr, 0, "clflush")
 		c.clock += cfg.FlushLatency
 
@@ -448,6 +454,7 @@ func (c *CPU) step(prog *isa.Program, idx int, inst *isa.Inst, res *Result) (int
 		addr := prog.Code[inst.TargetIdx].Addr.Line()
 		c.hier.FlushInst(addr)
 		c.dropInflight(addr.Line())
+		c.flushes++
 		if c.tracing() {
 			c.record(trace.KindCacheFlush, inst.Addr, addr, 0, "clflush.i "+inst.Target)
 		}

@@ -18,6 +18,7 @@ const (
 	MetricSpuriousAborts = "uwm_cpu_tx_spurious_aborts_total"
 	MetricObservedAborts = "uwm_cpu_tx_observed_aborts_total"
 	MetricMSHRMerges     = "uwm_cpu_mshr_merges_total"
+	MetricFlushes        = "uwm_cpu_flushes_total"
 	MetricTSC            = "uwm_cpu_tsc_cycles"
 	MetricSpecWindow     = "uwm_cpu_spec_window_cycles"
 )
@@ -49,6 +50,7 @@ func (c *CPU) RegisterMetrics(reg *metrics.Registry) {
 		{MetricSpuriousAborts, "noise-injected transaction aborts", func() uint64 { return c.stats.SpuriousAborts }},
 		{MetricObservedAborts, "aborts forced by an attached debugger", func() uint64 { return c.stats.ObservedAborts }},
 		{MetricMSHRMerges, "accesses merged into an in-flight fill", func() uint64 { return c.stats.MSHRMerges }},
+		{MetricFlushes, "clflush instructions executed", func() uint64 { return c.flushes }},
 	} {
 		reg.CounterFunc(m.name, m.help, m.read)
 	}
