@@ -203,7 +203,7 @@ func TestHealthVerdictReplay(t *testing.T) {
 			Seed:            2021,
 			Noise:           noise.Replayable(),
 			TrainIterations: 2,
-			Trace:           rec,
+			Sink:            rec,
 			HealthTap:       mon,
 		})
 		if err != nil {

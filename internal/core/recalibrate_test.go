@@ -93,7 +93,7 @@ func TestRecalibrateTracksDrift(t *testing.T) {
 // an offline replay can reconstruct the threshold history.
 func TestCalibrationEventsEmitted(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	m := MustNewMachine(Options{Seed: 3, Trace: rec})
+	m := MustNewMachine(Options{Seed: 3, Sink: rec})
 	evs := rec.Filter(trace.KindCalibration)
 	if len(evs) != 1 {
 		t.Fatalf("calibration events after construction = %d, want 1", len(evs))
@@ -145,7 +145,7 @@ func TestHealthTap(t *testing.T) {
 // innermost open span and vanish silently when no span (or sink) exists.
 func TestAnnotate(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	m := MustNewMachine(Options{Seed: 4, Trace: rec})
+	m := MustNewMachine(Options{Seed: 4, Sink: rec})
 
 	m.Annotate("orphan=1") // no span open: dropped
 	if rec.Count(trace.KindAnnotation) != 0 {

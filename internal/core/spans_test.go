@@ -8,7 +8,7 @@ import (
 
 func TestSpanNestingAndParents(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	m := MustNewMachine(Options{Seed: 7, Trace: rec})
+	m := MustNewMachine(Options{Seed: 7, Sink: rec})
 
 	outer := m.BeginSpan("circuit:test")
 	inner := m.BeginSpan("gate:inner")
@@ -41,7 +41,7 @@ func TestSpanNestingAndParents(t *testing.T) {
 
 func TestEndSpanClosesAbandonedChildren(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	m := MustNewMachine(Options{Seed: 7, Trace: rec})
+	m := MustNewMachine(Options{Seed: 7, Sink: rec})
 
 	outer := m.BeginSpan("a")
 	m.BeginSpan("b") // never closed explicitly (error-path shape)
@@ -63,7 +63,7 @@ func TestEndSpanClosesAbandonedChildren(t *testing.T) {
 
 func TestGateActivationEmitsBalancedSpans(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	m := MustNewMachine(Options{Seed: 3, TrainIterations: 2, Trace: rec})
+	m := MustNewMachine(Options{Seed: 3, TrainIterations: 2, Sink: rec})
 
 	bp, err := NewBPAnd(m)
 	if err != nil {
@@ -137,7 +137,7 @@ func BenchmarkSpanDisabled(b *testing.B) {
 // disabled-at-the-bottom recorder toggled on (ring of 1k events).
 func BenchmarkSpanEnabled(b *testing.B) {
 	rec := trace.NewRecorder(1024)
-	m := MustNewMachine(Options{Seed: 7, Trace: rec})
+	m := MustNewMachine(Options{Seed: 7, Sink: rec})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		id := m.BeginSpan("gate:AND")

@@ -48,13 +48,6 @@ func (s *Skelly) EvalSpec(spec *core.CircuitSpec, inputs []int, evalSeed uint64)
 	return circopt.EvalSpec(s, spec, inputs, evalSeed)
 }
 
-// EvalPlan evaluates an optimized circopt plan serially on this
-// library's machine. Byte-identical to a pooled evaluation of the
-// same plan (see circopt.Pool).
-func (s *Skelly) EvalPlan(plan *circopt.Plan, inputs []int, evalSeed uint64) ([]int, error) {
-	return circopt.EvalPlan(s, plan, inputs, evalSeed)
-}
-
 // EvalPlanBatch evaluates a batch of input vectors against one plan,
 // deriving vector v's seed as SubSeed(evalSeed, v) — the same
 // per-vector seed schedule circopt.Pool.EvalBatch uses, so a serial
