@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_$(shell date +%Y%m%d-%H%M%S).json
 
-.PHONY: all build test race race-shard micro-bench vet staticcheck fmt-check ci serve-smoke slo-smoke cluster-smoke bench bench-report bench-compare clean
+.PHONY: all build test race race-shard micro-bench fuzz perfbench vet staticcheck fmt-check ci serve-smoke slo-smoke cluster-smoke bench bench-report bench-compare clean
 
 all: build
 
@@ -29,6 +29,18 @@ micro-bench:
 		-bench 'GateOp_|Hierarchy|LRU|Flush|CommittedALU|TimedLoad|SpeculativeWindow|TSXAbortWindow' \
 		-benchtime 1x . ./internal/cache ./internal/cpu
 
+# fuzz runs each fuzz target as a fuzzer for 10 s.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTimedRead$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/bexpr
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/wmapt
+
+# perfbench vets and tests the benchmark module, which the root
+# `go test ./...` does not reach, so removing a symbol it imports fails
+# CI rather than the benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 vet:
 	$(GO) vet ./...
 
@@ -48,9 +60,10 @@ fmt-check:
 	fi
 
 # ci is the gate a pull request must pass: formatting, static checks,
-# a clean build, the full test suite under the race detector, and the
-# job-service and gate-health smoke tests.
-ci: fmt-check vet staticcheck build race race-shard micro-bench serve-smoke slo-smoke cluster-smoke health-smoke
+# a clean build, the full test suite under the race detector, the fuzz
+# targets, the perfbench module, and the job-service and gate-health
+# smoke tests.
+ci: fmt-check vet staticcheck build race race-shard micro-bench fuzz perfbench serve-smoke slo-smoke cluster-smoke health-smoke
 
 # serve-smoke boots uwm-serve on an ephemeral port, runs the example
 # client under a known request id, fetches that job's flight-recording

@@ -70,6 +70,17 @@ go test -run '^$' \
 	-bench 'GateOp_|Hierarchy|LRU|Flush|CommittedALU|TimedLoad|SpeculativeWindow|TSXAbortWindow' \
 	-benchtime 1x . ./internal/cache ./internal/cpu
 
+echo "== fuzz (10 s per target) =="
+# Each fuzz target runs as a fuzzer, not only over its seed corpus.
+go test -run '^$' -fuzz '^FuzzParseTimedRead$' -fuzztime 10s ./internal/trace
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/bexpr
+go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 10s ./internal/wmapt
+
+echo "== perfbench (frozen API) =="
+# perfbench is its own module, so the root go test ./... never reaches
+# it; removing a symbol it imports must fail here, not in a bench run.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== uwm-serve smoke =="
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
