@@ -21,7 +21,7 @@ import (
 // read stream.
 func fakeServe(t *testing.T) *httptest.Server {
 	t.Helper()
-	mon := health.NewMonitor(health.Config{})
+	mon := health.NewMonitor()
 	mon.Emit(trace.Event{Kind: trace.KindCalibration, Value: 129, Text: "hit=36 miss=222 n=1"})
 	for i := 0; i < 40; i++ {
 		delta := uint64(36)

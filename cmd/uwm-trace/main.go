@@ -149,7 +149,7 @@ func realMain(args []string) int {
 // fresh gate-health monitor — identical code to the live workers' — and
 // print its snapshot.
 func healthMain(events []trace.Event, format string) int {
-	snap := health.Replay(events, health.Config{}).Snapshot()
+	snap := health.Replay(events).Snapshot()
 	if format == "json" {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

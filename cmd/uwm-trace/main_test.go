@@ -144,7 +144,7 @@ func TestCLIJobFilter(t *testing.T) {
 	if one.Reads == 0 {
 		t.Error("job-filtered replay saw no reads")
 	}
-	whole := health.Replay(mustParse(t, path), health.Config{}).Snapshot()
+	whole := health.Replay(mustParse(t, path)).Snapshot()
 	if one.Reads >= whole.Reads {
 		t.Errorf("job filter kept %d of %d reads, want a strict subset", one.Reads, whole.Reads)
 	}

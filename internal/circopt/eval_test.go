@@ -197,7 +197,7 @@ func TestHealthVerdictReplay(t *testing.T) {
 	}
 	var all []*observed
 	build := func(int) (circopt.GateLib, error) {
-		mon := health.NewMonitor(health.Config{})
+		mon := health.NewMonitor()
 		rec := trace.NewRecorder(1 << 16)
 		m, err := core.NewMachine(core.Options{
 			Seed:            2021,
@@ -255,7 +255,7 @@ func TestHealthVerdictReplay(t *testing.T) {
 	states := make(map[string]bool)
 	for i, o := range all {
 		live := o.mon.Verdict()
-		replayed := health.Replay(o.rec.Events(), health.Config{}).Verdict()
+		replayed := health.Replay(o.rec.Events()).Verdict()
 		if live != replayed {
 			t.Errorf("machine %d: live verdict %+v != replayed %+v", i, live, replayed)
 		}

@@ -87,15 +87,6 @@ type Config struct {
 	// HedgeBudget is the fraction of traffic that may hedge
 	// (default 0.10).
 	HedgeBudget float64
-	// HedgeMinDelay / HedgeMaxDelay clamp the p95-derived hedge delay
-	// (defaults 10ms / 2s); HedgeColdDelay is used until a job type has
-	// enough samples for a p95 (default 50ms).
-	HedgeMinDelay  time.Duration
-	HedgeMaxDelay  time.Duration
-	HedgeColdDelay time.Duration
-	// RouteMemory caps how many job-id → backend routes the gateway
-	// remembers for pass-through GETs (default 8192).
-	RouteMemory int
 	// Metrics, when non-nil, receives the gateway's instruments.
 	Metrics *metrics.Registry
 	// Client overrides the proxy HTTP client (tests); nil uses a
@@ -122,18 +113,6 @@ func (c Config) normalized() Config {
 	}
 	if c.HedgeBudget <= 0 {
 		c.HedgeBudget = 0.10
-	}
-	if c.HedgeMinDelay <= 0 {
-		c.HedgeMinDelay = 10 * time.Millisecond
-	}
-	if c.HedgeMaxDelay <= 0 {
-		c.HedgeMaxDelay = 2 * time.Second
-	}
-	if c.HedgeColdDelay <= 0 {
-		c.HedgeColdDelay = 50 * time.Millisecond
-	}
-	if c.RouteMemory == 0 {
-		c.RouteMemory = 8192
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
@@ -179,7 +158,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.cache = newResultCache(cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL)
 	}
 	if cfg.Hedge {
-		g.hedge = newHedger(cfg.HedgeBudget, cfg.HedgeMinDelay, cfg.HedgeMaxDelay, cfg.HedgeColdDelay)
+		g.hedge = newHedger(cfg.HedgeBudget)
 	}
 	g.registerMetrics(reg)
 
@@ -251,9 +230,13 @@ func (g *Gateway) Close() {
 	g.pool.Close()
 }
 
+// routeMemory caps how many job-id → backend routes the gateway
+// remembers for pass-through GETs.
+const routeMemory = 8192
+
 // rememberRoute binds a job id (and its request id) to the backend
 // that owns it, so pass-through GETs go straight to the right flight
-// recorder. The table is a bounded FIFO: past RouteMemory bindings the
+// recorder. The table is a bounded FIFO: past routeMemory bindings the
 // oldest are dropped and lookups for them fall back to asking every
 // backend.
 func (g *Gateway) rememberRoute(backend int, ids ...string) {
@@ -267,7 +250,7 @@ func (g *Gateway) rememberRoute(backend int, ids ...string) {
 			g.routeOrder = append(g.routeOrder, id)
 		}
 		g.routes[id] = backend
-		for len(g.routeOrder) > g.cfg.RouteMemory {
+		for len(g.routeOrder) > routeMemory {
 			delete(g.routes, g.routeOrder[0])
 			g.routeOrder = g.routeOrder[1:]
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 func TestHedgerBudgetPacing(t *testing.T) {
-	h := newHedger(0.5, time.Millisecond, time.Second, 5*time.Millisecond)
+	h := newHedger(0.5)
 	if h.allow() {
 		t.Fatal("empty budget allowed a hedge")
 	}
@@ -36,32 +36,32 @@ func TestHedgerBudgetPacing(t *testing.T) {
 }
 
 func TestHedgerDelayClampsAndColdStart(t *testing.T) {
-	h := newHedger(0.1, 10*time.Millisecond, 100*time.Millisecond, 40*time.Millisecond)
-	if d := h.delay("cold"); d != 40*time.Millisecond {
-		t.Fatalf("cold delay = %v, want 40ms", d)
+	h := newHedger(0.1)
+	if d := h.delay("cold"); d != hedgeColdDelay {
+		t.Fatalf("cold delay = %v, want %v", d, hedgeColdDelay)
 	}
 
 	// Below hedgeMinSamples the type still uses the cold delay.
 	for i := 0; i < hedgeMinSamples-1; i++ {
 		h.observe("warming", time.Second)
 	}
-	if d := h.delay("warming"); d != 40*time.Millisecond {
-		t.Fatalf("under-sampled delay = %v, want the 40ms cold delay", d)
+	if d := h.delay("warming"); d != hedgeColdDelay {
+		t.Fatalf("under-sampled delay = %v, want the %v cold delay", d, hedgeColdDelay)
 	}
 
-	// A fast type's p95 clamps up to MinDelay...
+	// A fast type's p95 clamps up to hedgeMinDelay...
 	for i := 0; i < 2*hedgeMinSamples; i++ {
 		h.observe("fast", 500*time.Microsecond)
 	}
-	if d := h.delay("fast"); d != 10*time.Millisecond {
-		t.Fatalf("fast-type delay = %v, want the 10ms floor", d)
+	if d := h.delay("fast"); d != hedgeMinDelay {
+		t.Fatalf("fast-type delay = %v, want the %v floor", d, hedgeMinDelay)
 	}
-	// ...and a slow type's clamps down to MaxDelay.
+	// ...and a slow type's clamps down to hedgeMaxDelay.
 	for i := 0; i < 2*hedgeMinSamples; i++ {
 		h.observe("slow", 10*time.Second)
 	}
-	if d := h.delay("slow"); d != 100*time.Millisecond {
-		t.Fatalf("slow-type delay = %v, want the 100ms ceiling", d)
+	if d := h.delay("slow"); d != hedgeMaxDelay {
+		t.Fatalf("slow-type delay = %v, want the %v ceiling", d, hedgeMaxDelay)
 	}
 }
 
@@ -126,15 +126,13 @@ func TestHedgeCancelsLoserAndLeaksNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	gw, err := New(Config{
-		Backends:       []string{b1.URL, b2.URL},
-		ProbeInterval:  time.Hour, // one startup round, then silence
-		CacheEntries:   -1,
-		Hedge:          true,
-		HedgeBudget:    1, // the first earn funds the hedge
-		HedgeMinDelay:  time.Millisecond,
-		HedgeColdDelay: 5 * time.Millisecond,
-		Client:         noKeepAlive(),
-		ProbeClient:    noKeepAlive(),
+		Backends:      []string{b1.URL, b2.URL},
+		ProbeInterval: time.Hour, // one startup round, then silence
+		CacheEntries:  -1,
+		Hedge:         true,
+		HedgeBudget:   1, // the first earn funds the hedge
+		Client:        noKeepAlive(),
+		ProbeClient:   noKeepAlive(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +185,7 @@ func TestHedgeSuppressedWithoutBudget(t *testing.T) {
 			_, _ = io.WriteString(w, `{"status":"ok"}`)
 		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
 			posts.Add(1)
-			time.Sleep(30 * time.Millisecond) // slower than the hedge delay
+			time.Sleep(2 * hedgeColdDelay) // slower than the hedge delay
 			w.Header().Set("Content-Type", "application/json")
 			_, _ = io.WriteString(w, `{"id":"job-slow-1","status":"done"}`)
 		default:
@@ -200,13 +198,11 @@ func TestHedgeSuppressedWithoutBudget(t *testing.T) {
 	defer b2.Close()
 
 	gw, err := New(Config{
-		Backends:       []string{b1.URL, b2.URL},
-		ProbeInterval:  time.Hour,
-		CacheEntries:   -1,
-		Hedge:          true,
-		HedgeBudget:    0.01, // one request earns far less than one token
-		HedgeMinDelay:  time.Millisecond,
-		HedgeColdDelay: 2 * time.Millisecond,
+		Backends:      []string{b1.URL, b2.URL},
+		ProbeInterval: time.Hour,
+		CacheEntries:  -1,
+		Hedge:         true,
+		HedgeBudget:   0.01, // one request earns far less than one token
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,6 @@ import (
 	"uwm/internal/health"
 	"uwm/internal/metrics"
 	"uwm/internal/noise"
-	"uwm/internal/skelly"
 	"uwm/internal/slo"
 	"uwm/internal/trace"
 )
@@ -121,19 +120,12 @@ type Config struct {
 	// accuracy-experiment setting, an order of magnitude cheaper than
 	// the paper's heavy 100-iteration mistraining loops).
 	TrainIterations int
-	// Skelly is the redundancy configuration of the worker gate
-	// library (default s=3, k=1, n=1 with verification counters on).
-	Skelly skelly.Config
 	// Retry is the engine-wide retry/vote policy; JobSpec can raise it
 	// per job.
 	Retry RetryPolicy
 	// DefaultTimeout bounds a job's execution when its spec does not
 	// (default 60s).
 	DefaultTimeout time.Duration
-	// RetainJobs caps how many terminal jobs stay queryable; older
-	// ones are evicted oldest-first (default 1024, negative retains
-	// everything).
-	RetainJobs int
 	// Metrics, when non-nil, receives the engine's instruments (queue
 	// depth, in-flight gauge, per-type latency, retry/vote counters).
 	Metrics *metrics.Registry
@@ -143,11 +135,6 @@ type Config struct {
 	// one worker the spans of concurrent jobs interleave; profile with
 	// Workers=1 when frame attribution matters.
 	Sink trace.Sink
-	// Health tunes the per-worker gate-health monitors; nil selects the
-	// monitor defaults. Every worker always carries a monitor: when its
-	// drift detector fires, the worker finishes the job in hand and
-	// recalibrates its machine before taking the next one.
-	Health *health.Config
 	// FlightRec, when non-nil, gives every job a private bounded trace
 	// capture: each worker's machine is teed into a per-worker tap that
 	// the worker points at the running job's capture, and at completion
@@ -186,15 +173,9 @@ func (c Config) normalized() Config {
 	if c.TrainIterations == 0 {
 		c.TrainIterations = 4
 	}
-	if c.Skelly.S == 0 && c.Skelly.N == 0 && c.Skelly.K == 0 {
-		c.Skelly = skelly.Config{S: 3, K: 1, N: 1, Verify: true}
-	}
 	c.Retry = c.Retry.normalized()
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
-	}
-	if c.RetainJobs == 0 {
-		c.RetainJobs = 1024
 	}
 	return c
 }
@@ -730,15 +711,16 @@ func (e *Engine) runJob(rig *Rig, j *Job) {
 	e.retire(j)
 }
 
+// retainJobs caps how many terminal jobs stay queryable; older ones are
+// evicted oldest-first.
+const retainJobs = 1024
+
 // retire enrolls a terminal job in the retention window and evicts the
-// oldest ones past RetainJobs (negative retains everything).
+// oldest ones past retainJobs.
 func (e *Engine) retire(j *Job) {
-	if e.cfg.RetainJobs < 0 {
-		return
-	}
 	e.mu.Lock()
 	e.order = append(e.order, j.id)
-	for len(e.order) > e.cfg.RetainJobs {
+	for len(e.order) > retainJobs {
 		delete(e.jobs, e.order[0])
 		e.order = e.order[1:]
 	}

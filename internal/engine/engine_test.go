@@ -456,23 +456,23 @@ func TestPoolStress(t *testing.T) {
 }
 
 func TestRetainJobsEvictsOldest(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, RetainJobs: 2})
+	Register("test-retain", func(ctx context.Context, env *Env, params json.RawMessage) (any, error) {
+		return "ok", nil
+	})
+	e := newTestEngine(t, Config{Workers: 1})
 	var jobs []*Job
-	for i := 0; i < 4; i++ {
-		j := mustSubmit(t, e, JobSpec{
-			Type:   JobTypeGate,
-			Params: rawParams(t, GateParams{Gate: "AND", Random: 1}),
-		})
+	for i := 0; i < retainJobs+1; i++ {
+		j := mustSubmit(t, e, JobSpec{Type: "test-retain"})
 		waitJob(t, j)
 		jobs = append(jobs, j)
 	}
 	if _, ok := e.Get(jobs[0].ID()); ok {
 		t.Error("oldest job survived past the retention window")
 	}
-	if _, ok := e.Get(jobs[3].ID()); !ok {
+	if _, ok := e.Get(jobs[retainJobs].ID()); !ok {
 		t.Error("newest job was evicted")
 	}
-	if got := len(e.Jobs()); got != 2 {
-		t.Errorf("retained %d jobs, want 2", got)
+	if got := len(e.Jobs()); got != retainJobs {
+		t.Errorf("retained %d jobs, want %d", got, retainJobs)
 	}
 }

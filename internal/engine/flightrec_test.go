@@ -34,12 +34,11 @@ func TestFlightRecorderHealthyTrafficRetainsNothing(t *testing.T) {
 // drift verdict byte-for-byte, and (c) healthy traffic afterwards never
 // evicts the pinned error.
 func TestFlightRecorderErrorKeepAndVerdictReplay(t *testing.T) {
-	hcfg := health.Config{BaselineSamples: 48}
 	reg := metrics.NewRegistry()
 	// MaxEventsPerTrace -1: byte-for-byte replay needs every read of the
 	// failing job; a truncated ring would replay a weaker verdict.
 	fr := flightrec.New(flightrec.Config{MaxKept: 4, ErrorRing: 4, MaxEventsPerTrace: -1, Metrics: reg})
-	e := newTestEngine(t, Config{Workers: 1, FlightRec: fr, Metrics: reg, Health: &hcfg})
+	e := newTestEngine(t, Config{Workers: 1, FlightRec: fr, Metrics: reg})
 	rig := e.rigs[0]
 
 	// Healthy phase establishes the monitor baseline.
@@ -89,13 +88,13 @@ func TestFlightRecorderErrorKeepAndVerdictReplay(t *testing.T) {
 		t.Fatalf("first event %q is not the health checkpoint", first.Text)
 	}
 
-	// Replay the recording offline through the same monitor config the
-	// worker ran. The drift verdict must match the live one exactly.
+	// Replay the recording offline through a fresh monitor. The drift
+	// verdict must match the live one exactly.
 	liveJSON, err := json.Marshal(ent.Verdict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayVerdict := health.Replay(kt.Events, hcfg).Verdict()
+	replayVerdict := health.Replay(kt.Events).Verdict()
 	replayJSON, err := json.Marshal(&replayVerdict)
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,6 @@ func TestWorkerDriftRecalibration(t *testing.T) {
 		Workers: 1,
 		Metrics: reg,
 		Sink:    rec,
-		Health:  &health.Config{BaselineSamples: 48},
 	})
 	rig := e.rigs[0]
 	th0 := rig.Machine.Threshold()
@@ -86,11 +85,11 @@ func TestWorkerDriftRecalibration(t *testing.T) {
 	}
 
 	// Live == offline: replaying the recorded trace through a fresh
-	// monitor with the same config must reproduce the drift history —
+	// monitor must reproduce the drift history —
 	// same threshold, same calibration count, same read counts, same
 	// final verdict.
 	live := rig.Health.Snapshot()
-	offline := health.Replay(rec.Events(), health.Config{BaselineSamples: 48}).Snapshot()
+	offline := health.Replay(rec.Events()).Snapshot()
 	if offline.Threshold != live.Threshold {
 		t.Errorf("offline threshold %d != live %d", offline.Threshold, live.Threshold)
 	}

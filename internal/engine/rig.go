@@ -57,11 +57,10 @@ func (r *Rig) BPGate(name string) *core.BPGate { return r.Skelly.Gate(name) }
 // build order below is part of the determinism contract (it fixes the
 // address layout gates compute against).
 func newRig(cfg Config, sink trace.Sink, id int) (*Rig, error) {
-	var hcfg health.Config
-	if cfg.Health != nil {
-		hcfg = *cfg.Health
-	}
-	mon := health.NewMonitor(hcfg)
+	// Every worker carries a monitor: when its drift detector fires, the
+	// worker finishes the job in hand and recalibrates its machine before
+	// taking the next one.
+	mon := health.NewMonitor()
 	// The flight-recorder tap rides the sink path, not the health tap:
 	// the machine emits the same timed-read and calibration events to
 	// both, so a per-job capture sees exactly the reads the monitor saw —
@@ -81,7 +80,8 @@ func newRig(cfg Config, sink trace.Sink, id int) (*Rig, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: building worker machine: %w", err)
 	}
-	sk, err := skelly.New(m, cfg.Skelly)
+	// The gate library runs s=3, k=1, n=1 with verification counters on.
+	sk, err := skelly.New(m, skelly.Config{S: 3, K: 1, N: 1, Verify: true})
 	if err != nil {
 		return nil, fmt.Errorf("engine: building gate library: %w", err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"uwm/internal/evlog"
 	"uwm/internal/flightrec"
-	"uwm/internal/health"
 	"uwm/internal/metrics"
 	"uwm/internal/slo"
 )
@@ -59,7 +58,6 @@ func tightGateSLO() []slo.Definition {
 // recording (pinned against eviction), and replaying the recorded
 // event log offline reproduces the live alert timeline byte-for-byte.
 func TestSLODriftBurnsBudgetFiresAndReplays(t *testing.T) {
-	hcfg := health.Config{BaselineSamples: 48}
 	reg := metrics.NewRegistry()
 	fr := flightrec.New(flightrec.Config{MaxKept: 4, ErrorRing: 4, Metrics: reg})
 	var journal bytes.Buffer
@@ -72,7 +70,7 @@ func TestSLODriftBurnsBudgetFiresAndReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newTestEngine(t, Config{
-		Workers: 1, FlightRec: fr, Metrics: reg, Health: &hcfg, SLO: sloEng, Log: log,
+		Workers: 1, FlightRec: fr, Metrics: reg, SLO: sloEng, Log: log,
 	})
 	rig := e.rigs[0]
 

@@ -36,7 +36,7 @@ func GateHealth(p Params) (*Table, error) {
 		},
 	}
 	for _, delta := range healthDeltas {
-		mon := health.NewMonitor(health.Config{})
+		mon := health.NewMonitor()
 		m, err := core.NewMachine(p.observe(core.Options{
 			Seed:      p.Seed,
 			Noise:     noise.Paper(),

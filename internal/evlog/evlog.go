@@ -39,8 +39,7 @@ import (
 type Level int8
 
 // Severity levels, least to most severe. Info is deliberately the zero
-// value: Config.MinLevel's default filter is Info, and selecting Debug
-// is an explicit opt-in.
+// value and the logger's minimum level: Debug records are dropped.
 const (
 	Debug Level = iota - 1
 	Info
@@ -200,47 +199,29 @@ const (
 	MetricSuppressed = "uwm_evlog_suppressed_total"
 )
 
-// Config tunes a Logger. The zero value selects the defaults below.
+// Logger settings.
+const (
+	// minLevel drops records below this severity.
+	minLevel = Info
+	// ringSize bounds the in-memory tail served by Recent.
+	ringSize = 256
+	// burst is the rate limiter's bucket size per (component, event)
+	// key.
+	burst = 10
+	// perSecond is the limiter's refill rate.
+	perSecond = 5
+)
+
+// Config tunes a Logger.
 type Config struct {
 	// W receives the JSONL stream; nil keeps records only in the ring.
 	W io.Writer
-	// MinLevel drops records below this severity (default Info; use
-	// Debug to keep everything).
-	MinLevel Level
-	// Ring bounds the in-memory tail served by Recent (default 256;
-	// negative disables the ring).
-	Ring int
-	// Burst is the rate limiter's bucket size per (component, event)
-	// key (default 10).
-	Burst int
-	// PerSecond is the limiter's refill rate (default 5). Zero selects
-	// the default; negative disables rate limiting entirely.
-	PerSecond float64
 	// Clock supplies timestamps for records that arrive unstamped;
 	// nil selects time.Now. Tests and offline replays inject a virtual
 	// clock so the written stream is deterministic.
 	Clock func() time.Time
 	// Metrics, when non-nil, receives the logger's instruments.
 	Metrics *metrics.Registry
-}
-
-func (c Config) withDefaults() Config {
-	if c.Ring == 0 {
-		c.Ring = 256
-	}
-	if c.Ring < 0 {
-		c.Ring = 0
-	}
-	if c.Burst <= 0 {
-		c.Burst = 10
-	}
-	if c.PerSecond == 0 {
-		c.PerSecond = 5
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
-	return c
 }
 
 // bucket is one (component, event) token bucket.
@@ -267,11 +248,10 @@ type Logger struct {
 
 // New builds a Logger.
 func New(cfg Config) *Logger {
-	cfg = cfg.withDefaults()
-	l := &Logger{cfg: cfg, buckets: make(map[string]*bucket)}
-	if cfg.Ring > 0 {
-		l.ring = make([]Record, 0, cfg.Ring)
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
 	}
+	l := &Logger{cfg: cfg, buckets: make(map[string]*bucket), ring: make([]Record, 0, ringSize)}
 	reg := cfg.Metrics
 	for lv := Debug; lv <= Error; lv++ {
 		l.records[levelIndex(lv)] = reg.Counter(MetricRecords,
@@ -291,23 +271,23 @@ func (l *Logger) Emit(r Record) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if r.Level < l.cfg.MinLevel {
+	if r.Level < minLevel {
 		return
 	}
 	if r.At.IsZero() {
 		r.At = l.cfg.Clock()
 	}
-	if !r.Unlimited && l.cfg.PerSecond > 0 {
+	if !r.Unlimited {
 		key := r.Component + "\x00" + r.Event
 		b := l.buckets[key]
 		if b == nil {
-			b = &bucket{tokens: float64(l.cfg.Burst), last: r.At}
+			b = &bucket{tokens: burst, last: r.At}
 			l.buckets[key] = b
 		}
 		if dt := r.At.Sub(b.last).Seconds(); dt > 0 {
-			b.tokens += dt * l.cfg.PerSecond
-			if b.tokens > float64(l.cfg.Burst) {
-				b.tokens = float64(l.cfg.Burst)
+			b.tokens += dt * perSecond
+			if b.tokens > burst {
+				b.tokens = burst
 			}
 			b.last = r.At
 		}
@@ -349,10 +329,7 @@ func levelIndex(l Level) int {
 
 // pushLocked appends to the bounded ring.
 func (l *Logger) pushLocked(r Record) {
-	if l.cfg.Ring <= 0 {
-		return
-	}
-	if len(l.ring) < l.cfg.Ring {
+	if len(l.ring) < ringSize {
 		l.ring = append(l.ring, r)
 		return
 	}

@@ -3,6 +3,7 @@ package evlog
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func TestEmitWritesJSONLAndRing(t *testing.T) {
 	l.Emit(Record{Level: Info, Component: "engine", Event: "job.retry",
 		JobID: "job-1", RequestID: "req-1", TraceID: "job-1",
 		Fields: Fields{F("reason", "timeout"), F("attempt", "2")}})
-	l.Emit(Record{Level: Debug, Component: "engine", Event: "noise"}) // below MinLevel Info
+	l.Emit(Record{Level: Debug, Component: "engine", Event: "noise"}) // below the minimum level, Info
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 1 {
@@ -83,21 +84,21 @@ func TestFieldsMarshalOrderStable(t *testing.T) {
 func TestRateLimitSuppresssAndAnnotates(t *testing.T) {
 	clk := testClock(0) // frozen clock: no refill
 	reg := metrics.NewRegistry()
-	l := New(Config{Burst: 3, PerSecond: 1, Clock: clk.Now, Metrics: reg})
-	for i := 0; i < 10; i++ {
+	l := New(Config{Clock: clk.Now, Metrics: reg})
+	for i := 0; i < burst+7; i++ {
 		l.Emit(Record{Level: Warn, Component: "engine", Event: "flood"})
 	}
 	recent := l.Recent()
-	if len(recent) != 3 {
-		t.Fatalf("kept %d records, want burst of 3", len(recent))
+	if len(recent) != burst {
+		t.Fatalf("kept %d records, want burst of %d", len(recent), burst)
 	}
 	if v, ok := reg.Value(MetricSuppressed); !ok || v != 7 {
 		t.Fatalf("suppressed counter = %v (ok=%v), want 7", v, ok)
 	}
 
-	// Refill one token by advancing the clock; the next record must pass
+	// Refill a token by advancing the clock; the next record must pass
 	// and carry the suppression count.
-	clk.now = clk.now.Add(2 * time.Second)
+	clk.now = clk.now.Add(time.Second)
 	l.Emit(Record{Level: Warn, Component: "engine", Event: "flood"})
 	recent = l.Recent()
 	last := recent[len(recent)-1]
@@ -107,14 +108,14 @@ func TestRateLimitSuppresssAndAnnotates(t *testing.T) {
 
 	// A different (component, event) key has its own bucket.
 	l.Emit(Record{Level: Warn, Component: "engine", Event: "other"})
-	if got := len(l.Recent()); got != 5 {
-		t.Fatalf("ring length = %d, want 5", got)
+	if got := len(l.Recent()); got != burst+2 {
+		t.Fatalf("ring length = %d, want %d", got, burst+2)
 	}
 }
 
 func TestUnlimitedBypassesRateLimit(t *testing.T) {
 	clk := testClock(0)
-	l := New(Config{Burst: 1, PerSecond: 1, Clock: clk.Now})
+	l := New(Config{Clock: clk.Now})
 	for i := 0; i < 50; i++ {
 		l.Emit(Record{Level: Info, Component: "slo", Event: "slo.observe", Unlimited: true})
 	}
@@ -124,18 +125,18 @@ func TestUnlimitedBypassesRateLimit(t *testing.T) {
 }
 
 func TestRingWrapsOldestFirst(t *testing.T) {
-	clk := testClock(time.Second)
-	l := New(Config{Ring: 4, PerSecond: -1, Clock: clk.Now})
-	for i := 0; i < 7; i++ {
+	clk := testClock(time.Second) // one refill per record: nothing is rate-limited
+	l := New(Config{Clock: clk.Now})
+	for i := 0; i < ringSize+3; i++ {
 		l.Emit(Record{Level: Info, Component: "c", Event: "e",
-			Fields: Fields{F("i", string(rune('0'+i)))}})
+			Fields: Fields{F("i", strconv.Itoa(i))}})
 	}
 	recent := l.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("ring length = %d, want 4", len(recent))
+	if len(recent) != ringSize {
+		t.Fatalf("ring length = %d, want %d", len(recent), ringSize)
 	}
 	for i, r := range recent {
-		want := string(rune('0' + 3 + i))
+		want := strconv.Itoa(3 + i)
 		if got := r.Fields.Get("i"); got != want {
 			t.Fatalf("ring[%d] = %s, want %s", i, got, want)
 		}
@@ -145,7 +146,7 @@ func TestRingWrapsOldestFirst(t *testing.T) {
 func TestDecodeJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	clk := testClock(time.Second)
-	l := New(Config{W: &buf, Clock: clk.Now, PerSecond: -1})
+	l := New(Config{W: &buf, Clock: clk.Now})
 	payload, _ := json.Marshal(map[string]any{"x": 1})
 	want := []Record{
 		{Level: Info, Component: "slo", Event: "slo.observe", JobID: "job-1", Data: payload, Unlimited: true},

@@ -90,13 +90,6 @@ type Config struct {
 	// hashing the job id so the choice is deterministic. 0 (the zero
 	// value) keeps no healthy traces; 1 keeps everything.
 	HeadRate float64
-	// LatencyQuantile marks a job "slow" — and its trace kept — when its
-	// latency reaches this quantile of the job type's history. Default
-	// 0.99; negative disables the rule.
-	LatencyQuantile float64
-	// LatencyMinSamples is how much per-type history the slow rule needs
-	// before it fires (a quantile of three samples is noise). Default 32.
-	LatencyMinSamples int
 	// PostmortemDir, when set, is where Postmortem() and panicking
 	// workers dump the kept traces.
 	PostmortemDir string
@@ -116,12 +109,6 @@ func (c Config) withDefaults() Config {
 		c.MaxEventsPerTrace = 4096
 	case c.MaxEventsPerTrace < 0:
 		c.MaxEventsPerTrace = 0 // trace.NewRecorder: unlimited
-	}
-	if c.LatencyQuantile == 0 {
-		c.LatencyQuantile = 0.99
-	}
-	if c.LatencyMinSamples <= 0 {
-		c.LatencyMinSamples = 32
 	}
 	return c
 }
@@ -412,20 +399,26 @@ func (r *Recorder) decideLocked(meta Meta, o Outcome, latSec float64) Decision {
 	}
 }
 
+// The slow rule: a job is "slow" — and its trace kept — when its
+// latency reaches latencyQuantile of the job type's history, once that
+// history holds latencyMinSamples jobs (a quantile of three samples is
+// noise).
+const (
+	latencyQuantile   = 0.99
+	latencyMinSamples = 32
+)
+
 // slowLocked reports whether latSec sits above the keep quantile of the
 // job type's latency history. The quantile estimate is rounded up to
 // its bucket edge first: an interpolated p99 of a uniform-latency
 // stream lands fractionally *below* the stream's own value, and without
 // the round-up every healthy job of such a type would flag as slow.
 func (r *Recorder) slowLocked(jobType string, latSec float64) bool {
-	if r.cfg.LatencyQuantile < 0 {
-		return false
-	}
 	h := r.typeLat[jobType]
-	if h == nil || h.Count() < uint64(r.cfg.LatencyMinSamples) {
+	if h == nil || h.Count() < latencyMinSamples {
 		return false
 	}
-	return latSec > bucketCeil(h.Quantile(r.cfg.LatencyQuantile))
+	return latSec > bucketCeil(h.Quantile(latencyQuantile))
 }
 
 // bucketCeil rounds a latency up to the bucket edge containing it — the

@@ -24,13 +24,12 @@ func timedRead(cycle, latency int64, bit int) trace.Event {
 // checkpoint and then fed the same event suffix must reach a
 // byte-identical drift verdict, even though it never saw the prefix.
 func TestStateEventCheckpointReplay(t *testing.T) {
-	cfg := Config{BaselineSamples: 16}
-	live := NewMonitor(cfg)
+	live := NewMonitor()
 
 	live.Emit(trace.Event{Kind: trace.KindCalibration, Cycle: 100, Value: 120})
 	cycle := int64(200)
 	// Prefix only the live monitor sees: fills the baseline window.
-	for i := 0; i < 40; i++ {
+	for i := 0; i < baselineSamples+24; i++ {
 		live.Emit(timedRead(cycle, 60+int64(i%7), i%2))
 		cycle += 50
 	}
@@ -39,7 +38,7 @@ func TestStateEventCheckpointReplay(t *testing.T) {
 	if ck.Kind != trace.KindAnnotation || !strings.HasPrefix(ck.Text, StateEventPrefix) {
 		t.Fatalf("checkpoint event %+v, want %q annotation", ck, StateEventPrefix)
 	}
-	replayed := NewMonitor(cfg)
+	replayed := NewMonitor()
 	replayed.Emit(ck)
 
 	// Shared suffix: latencies shifted enough to move the CUSUM.
@@ -73,9 +72,9 @@ func TestStateEventCheckpointReplay(t *testing.T) {
 // TestStateEventSurvivesJSONRoundTrip mirrors the real path: the
 // checkpoint travels through trace JSONL encoding before replay.
 func TestStateEventSurvivesJSONRoundTrip(t *testing.T) {
-	m := NewMonitor(Config{BaselineSamples: 8})
+	m := NewMonitor()
 	m.Emit(trace.Event{Kind: trace.KindCalibration, Cycle: 10, Value: 99})
-	for i := 0; i < 24; i++ {
+	for i := 0; i < baselineSamples+16; i++ {
 		m.Emit(timedRead(int64(20+i*30), 40+int64(i%3), i%2))
 	}
 	ck := m.StateEvent()
@@ -94,7 +93,7 @@ func TestStateEventSurvivesJSONRoundTrip(t *testing.T) {
 		t.Fatalf("wire text %q lost the checkpoint prefix", wire.Text)
 	}
 
-	b := NewMonitor(Config{BaselineSamples: 8})
+	b := NewMonitor()
 	b.Emit(trace.Event{Kind: trace.KindAnnotation, Cycle: ck.Cycle, Text: wire.Text})
 	va, _ := json.Marshal(m.Verdict())
 	vb, _ := json.Marshal(b.Verdict())
@@ -106,7 +105,7 @@ func TestStateEventSurvivesJSONRoundTrip(t *testing.T) {
 // TestApplyStateIgnoresMalformed keeps a corrupted checkpoint from
 // poisoning a replay: the annotation is skipped, not fatal.
 func TestApplyStateIgnoresMalformed(t *testing.T) {
-	m := NewMonitor(Config{})
+	m := NewMonitor()
 	m.Emit(trace.Event{Kind: trace.KindAnnotation, Text: StateEventPrefix + "{not json"})
 	m.Emit(trace.Event{Kind: trace.KindAnnotation, Text: "unrelated annotation"})
 	if v := m.Verdict(); v.Calibrations != 0 || v.Drifting {

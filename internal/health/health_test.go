@@ -30,21 +30,20 @@ func read(gate string, delta int64, cycle int64) trace.Event {
 }
 
 func TestDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.WindowSize != 256 || cfg.BaselineSamples != 64 || cfg.OutlierCutoff != 4096 {
-		t.Errorf("defaults wrong: %+v", cfg)
+	if windowSize != 256 || baselineSamples != 64 || outlierCutoff != 4096 {
+		t.Errorf("settings moved: window=%d baseline=%d outlier=%d", windowSize, baselineSamples, outlierCutoff)
 	}
-	m := NewMonitor(Config{})
-	if got := m.Config(); got.CUSUMThreshold != 12 || got.CUSUMSlack != 1 || got.CUSUMClamp != 4 {
-		t.Errorf("monitor did not fill defaults: %+v", got)
+	if cusumThreshold != 12 || cusumSlack != 1 || cusumClamp != 4 {
+		t.Errorf("CUSUM settings moved: h=%v k=%v clamp=%v", cusumThreshold, cusumSlack, cusumClamp)
 	}
+	m := NewMonitor()
 	if !m.Healthy() || m.Drifting() {
 		t.Error("fresh monitor must be healthy")
 	}
 }
 
 func TestMarginTracking(t *testing.T) {
-	m := NewMonitor(Config{})
+	m := NewMonitor()
 	m.Emit(calib(129, 100))
 	// Hits land ~36 cycles (margin −93), misses ~222 (margin +93).
 	for i := 0; i < 10; i++ {
@@ -74,7 +73,7 @@ func TestMarginTracking(t *testing.T) {
 }
 
 func TestOutliersExcluded(t *testing.T) {
-	m := NewMonitor(Config{})
+	m := NewMonitor()
 	m.Emit(calib(129, 0))
 	m.Emit(read("AND", 36, 1))
 	m.Emit(read("AND", 1<<19, 2)) // TSX aborted-read sentinel
@@ -90,8 +89,7 @@ func TestOutliersExcluded(t *testing.T) {
 }
 
 func TestDriftDetectionAndReset(t *testing.T) {
-	cfg := Config{BaselineSamples: 32}
-	m := NewMonitor(cfg)
+	m := NewMonitor()
 	m.Emit(calib(129, 0))
 	cycle := int64(1)
 	// Healthy regime: wide margins on both sides.
@@ -140,7 +138,7 @@ func TestStationaryNoiseNeverAlarms(t *testing.T) {
 	// A fixed alternating stream must never trip the detector no matter
 	// how long it runs — the property that keeps deterministic engine
 	// runs free of spurious recalibrations.
-	m := NewMonitor(Config{})
+	m := NewMonitor()
 	m.Emit(calib(129, 0))
 	for i := 0; i < 5000; i++ {
 		d := int64(30 + i%13)
@@ -160,7 +158,7 @@ func TestStationaryNoiseNeverAlarms(t *testing.T) {
 // not trip the alarm by itself. A sustained run at the same latency is
 // real erosion and must still alarm.
 func TestSingleOutlierReadDoesNotAlarm(t *testing.T) {
-	m := NewMonitor(Config{BaselineSamples: 32})
+	m := NewMonitor()
 	m.Emit(calib(129, 0))
 	cycle := int64(1)
 	feed := func(d int64, n int) {
@@ -193,7 +191,7 @@ func TestSingleOutlierReadDoesNotAlarm(t *testing.T) {
 }
 
 func TestObserveOutcome(t *testing.T) {
-	m := NewMonitor(Config{})
+	m := NewMonitor()
 	m.ObserveOutcome("AND", 16, 16)
 	if !m.Healthy() {
 		t.Error("perfect outcomes marked unhealthy")
@@ -226,11 +224,11 @@ func TestReplayMatchesLive(t *testing.T) {
 		events = append(events, read("AND", 140, int64(500+i)))
 	}
 
-	live := NewMonitor(Config{})
+	live := NewMonitor()
 	for _, e := range events {
 		live.Emit(e)
 	}
-	replayed := Replay(events, Config{})
+	replayed := Replay(events)
 
 	ls, rs := live.Snapshot(), replayed.Snapshot()
 	if !reflect.DeepEqual(ls, rs) {
@@ -254,22 +252,22 @@ func TestReplayMatchesLive(t *testing.T) {
 }
 
 func TestWindowBounded(t *testing.T) {
-	m := NewMonitor(Config{WindowSize: 8})
+	m := NewMonitor()
 	m.Emit(calib(129, 0))
-	for i := 0; i < 100; i++ {
+	for i := 0; i < windowSize+100; i++ {
 		m.Emit(read("AND", 36, int64(i)))
 	}
 	total := 0
 	for _, b := range m.Snapshot().Gates[0].MarginBins {
 		total += b.Count
 	}
-	if total != 8 {
-		t.Errorf("window holds %d samples, want 8", total)
+	if total != windowSize {
+		t.Errorf("window holds %d samples, want %d", total, windowSize)
 	}
 }
 
 func TestIgnoresForeignEvents(t *testing.T) {
-	m := NewMonitor(Config{})
+	m := NewMonitor()
 	m.Emit(trace.Event{Kind: trace.KindCacheFill, Addr: 0x40})
 	m.Emit(trace.Event{Kind: trace.KindTimedRead, Text: "not a gate read"})
 	m.Emit(trace.Event{Kind: trace.KindSpanBegin, Value: 1, Text: "job:x"})
@@ -280,7 +278,7 @@ func TestIgnoresForeignEvents(t *testing.T) {
 }
 
 func TestRenderSnapshot(t *testing.T) {
-	m := NewMonitor(Config{})
+	m := NewMonitor()
 	m.Emit(calib(129, 0))
 	for i := 0; i < 20; i++ {
 		m.Emit(read("AND", 36, int64(i)))
@@ -299,7 +297,7 @@ func TestRenderSnapshot(t *testing.T) {
 // TestParseTimedRead: the monitor decodes timed reads with the shared
 // trace codec and drops every payload the codec rejects.
 func TestParseTimedRead(t *testing.T) {
-	m := NewMonitor(Config{})
+	m := NewMonitor()
 	m.Emit(calib(129, 0))
 	m.Emit(trace.Event{Kind: trace.KindTimedRead, Cycle: 1, Value: 36, Text: trace.FormatTimedRead("TSX_AND", 2, 1)})
 	for _, bad := range []string{"", "gate=", "nope", "gate=X out=y bit=z", "gate=X out=0 bit=7"} {

@@ -34,12 +34,15 @@ type Config struct {
 	Clock func() time.Time
 	// Metrics, when non-nil, receives the engine's instruments.
 	Metrics *metrics.Registry
-	// MaxTimeline bounds the retained transition history (default 512).
-	MaxTimeline int
-	// TraceRing bounds the per-SLO ring of budget-burning trace ids an
-	// alert names (default 8).
-	TraceRing int
 }
+
+const (
+	// maxTimeline bounds the retained transition history.
+	maxTimeline = 512
+	// traceRing bounds the per-SLO ring of budget-burning trace ids an
+	// alert names.
+	traceRing = 8
+)
 
 // policyState is one (SLO, policy) alert state machine.
 type policyState struct {
@@ -81,8 +84,6 @@ type Engine struct {
 	pinner  TracePinner
 	clock   func() time.Time
 	timeln  []Transition
-	maxTln  int
-	tring   int
 	subs    map[int]chan Transition
 	nextSub int
 	closed  bool
@@ -96,12 +97,6 @@ func New(cfg Config) (*Engine, error) {
 	if defs == nil {
 		defs = DefaultSLOs()
 	}
-	if cfg.MaxTimeline <= 0 {
-		cfg.MaxTimeline = 512
-	}
-	if cfg.TraceRing <= 0 {
-		cfg.TraceRing = 8
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -109,8 +104,6 @@ func New(cfg Config) (*Engine, error) {
 		log:    cfg.Log,
 		pinner: cfg.Pinner,
 		clock:  cfg.Clock,
-		maxTln: cfg.MaxTimeline,
-		tring:  cfg.TraceRing,
 		subs:   make(map[int]chan Transition),
 	}
 	seen := make(map[string]bool, len(defs))
@@ -137,7 +130,7 @@ func New(cfg Config) (*Engine, error) {
 		st := &sloState{
 			def:     d,
 			ser:     newSeries(shortest, horizon),
-			burners: make([]string, 0, e.tring),
+			burners: make([]string, 0, traceRing),
 			obsCtr: reg.Counter(MetricObservations,
 				"SLO observations evaluated", metrics.L("slo", d.Name)),
 			budgetG: reg.Gauge(MetricBudget,
@@ -314,7 +307,7 @@ func (e *Engine) evaluateLocked(now time.Time) {
 // transitionLocked appends to the timeline, journals, and fans out to
 // subscribers.
 func (e *Engine) transitionLocked(tr Transition, event string, level evlog.Level) {
-	if len(e.timeln) >= e.maxTln {
+	if len(e.timeln) >= maxTimeline {
 		copy(e.timeln, e.timeln[1:])
 		e.timeln = e.timeln[:len(e.timeln)-1]
 	}

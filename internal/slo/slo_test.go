@@ -312,7 +312,7 @@ func TestLatencyClassification(t *testing.T) {
 func TestObserveJournalAndReplayByteForByte(t *testing.T) {
 	var journal bytes.Buffer
 	logClk := &vclock{now: epoch(), step: 0}
-	logger := evlog.New(evlog.Config{W: &journal, Clock: logClk.Now, PerSecond: -1})
+	logger := evlog.New(evlog.Config{W: &journal, Clock: logClk.Now})
 	clk := &vclock{now: epoch(), step: time.Second}
 	defs := []Definition{availDef(10)}
 	live, err := New(Config{SLOs: defs, Clock: clk.Now, Log: logger, Pinner: &pinRec{}})
