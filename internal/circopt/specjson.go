@@ -45,9 +45,17 @@ func EncodeSpec(spec *core.CircuitSpec) *SpecJSON {
 	return out
 }
 
+// maxInputs bounds a decoded netlist's input count. The count is one
+// number on the wire, but every evaluation allocates a vector of that
+// many wires; sha1round, the largest preset, has 224 inputs.
+const maxInputs = 4096
+
 // DecodeSpec converts the canonical JSON shape back into a validated
-// netlist.
+// netlist. It rejects more than maxInputs inputs.
 func (sj *SpecJSON) DecodeSpec() (*core.CircuitSpec, error) {
+	if sj.NumInputs > maxInputs {
+		return nil, fmt.Errorf("circopt: num_inputs %d exceeds the bound of %d", sj.NumInputs, maxInputs)
+	}
 	spec := core.NewCircuitSpec(sj.NumInputs)
 	for i, g := range sj.Gates {
 		out := core.WireID(sj.NumInputs + i)

@@ -115,7 +115,8 @@ type GateParams struct {
 	// Inputs lists explicit activations, one vector per activation.
 	Inputs [][]int `json:"inputs,omitempty"`
 	// Random adds this many uniformly drawn input vectors (from the
-	// attempt's derived RNG) when Inputs is empty; default 16.
+	// attempt's derived RNG) when Inputs is empty; default 16, at most
+	// maxRandom.
 	Random int `json:"random,omitempty"`
 	// MinAccuracy, when positive, is a quality floor: the attempt fails
 	// with an error when the run's accuracy lands below it. Under a
@@ -170,14 +171,9 @@ func runGateJob(ctx context.Context, env *Env, params json.RawMessage) (any, err
 		if n <= 0 {
 			n = 16
 		}
-		rng := env.RNG()
-		inputs = make([][]int, n)
-		for i := range inputs {
-			vec := make([]int, arity)
-			for k := range vec {
-				vec[k] = rng.Bit()
-			}
-			inputs[i] = vec
+		var err error
+		if inputs, err = randomInputs(env, n, arity); err != nil {
+			return nil, err
 		}
 	}
 
@@ -220,6 +216,29 @@ func runGateJob(ctx context.Context, env *Env, params json.RawMessage) (any, err
 			p.Gate, res.Accuracy, p.MinAccuracy, res.Correct, res.Total)
 	}
 	return res, nil
+}
+
+// maxRandom bounds the random input vectors a gate or circuit job may
+// ask for: the count is one small number in the request, but each
+// vector costs a full evaluation.
+const maxRandom = 4096
+
+// randomInputs draws n input vectors of the given arity from the
+// attempt's RNG.
+func randomInputs(env *Env, n, arity int) ([][]int, error) {
+	if n > maxRandom {
+		return nil, fmt.Errorf("engine: random %d exceeds the bound of %d vectors", n, maxRandom)
+	}
+	rng := env.RNG()
+	inputs := make([][]int, n)
+	for i := range inputs {
+		vec := make([]int, arity)
+		for k := range vec {
+			vec[k] = rng.Bit()
+		}
+		inputs[i] = vec
+	}
+	return inputs, nil
 }
 
 func equalInts(a, b []int) bool {
@@ -366,9 +385,15 @@ type CovertParams struct {
 	Message string `json:"message,omitempty"`
 	B64     string `json:"message_b64,omitempty"`
 	// Reps is the per-bit redundancy (majority of reps writes/reads);
-	// default 3.
+	// default 3, at most maxCovertReps.
 	Reps int `json:"reps,omitempty"`
 }
+
+// maxCovertReps bounds the per-bit redundancy of a covert job. The
+// reps of one byte run inside one Transfer call, which has no
+// cancellation point, so a large value would hold a worker past its
+// deadline.
+const maxCovertReps = 64
 
 // CovertResult reports the received bytes and the bit-error accounting
 // of the round trip.
@@ -384,6 +409,9 @@ func runCovertJob(ctx context.Context, env *Env, params json.RawMessage) (any, e
 	p := CovertParams{Reps: 3}
 	if err := decodeParams(params, &p); err != nil {
 		return nil, err
+	}
+	if p.Reps > maxCovertReps {
+		return nil, fmt.Errorf("engine: covert reps %d exceeds the bound of %d", p.Reps, maxCovertReps)
 	}
 	msg, err := decodeMessage(p.Message, p.B64, []byte("uwm covert channel"))
 	if err != nil {
@@ -439,7 +467,7 @@ type CircuitParams struct {
 	// Inputs lists explicit input vectors, one evaluation per vector.
 	Inputs [][]int `json:"inputs,omitempty"`
 	// Random adds this many uniformly drawn vectors (from the attempt's
-	// derived RNG) when Inputs is empty; default 4.
+	// derived RNG) when Inputs is empty; default 4, at most maxRandom.
 	Random int `json:"random,omitempty"`
 	// Optimize runs the circuit through the circopt pipeline and the
 	// engine's shared plan cache (default true). Setting it false runs
@@ -505,14 +533,8 @@ func runCircuitJob(ctx context.Context, env *Env, params json.RawMessage) (any, 
 		if n <= 0 {
 			n = 4
 		}
-		rng := env.RNG()
-		inputs = make([][]int, n)
-		for i := range inputs {
-			vec := make([]int, spec.NumInputs)
-			for k := range vec {
-				vec[k] = rng.Bit()
-			}
-			inputs[i] = vec
+		if inputs, err = randomInputs(env, n, spec.NumInputs); err != nil {
+			return nil, err
 		}
 	}
 	for _, in := range inputs {
