@@ -34,6 +34,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTimedRead$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/bexpr
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/wmapt
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s ./internal/circopt
 
 # perfbench vets and tests the benchmark module, which the root
 # `go test ./...` does not reach, so removing a symbol it imports fails
