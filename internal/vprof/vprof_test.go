@@ -100,17 +100,11 @@ func TestTruncatedRecordingIsTolerated(t *testing.T) {
 	}
 }
 
-// buildProfiles runs a weird SHA-1 digest on one machine with a tee of
-// JSONL sink + live profiler, then replays the recording offline.
-// Returns (live, offline, machine TSC).
-func buildProfiles(t *testing.T) (*vprof.Profiler, *vprof.Profiler, int64) {
+// newMachine builds a machine whose spans feed sink, and its fast
+// redundancy gate library.
+func newMachine(t *testing.T, sink trace.Sink) (*core.Machine, *skelly.Skelly) {
 	t.Helper()
-	live := vprof.New()
-	var jsonl bytes.Buffer
-	js := trace.NewJSONLSink(&jsonl)
-	m, err := core.NewMachine(core.Options{
-		Seed: 11, TrainIterations: 2, Sink: trace.Tee(js, live),
-	})
+	m, err := core.NewMachine(core.Options{Seed: 11, TrainIterations: 2, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +112,19 @@ func buildProfiles(t *testing.T) (*vprof.Profiler, *vprof.Profiler, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sha1wm.New(sk).Sum([]byte("abc")); err != nil {
+	return m, sk
+}
+
+// TestLiveAndOfflineProfilesAgree runs one weird 32-bit add on a
+// machine teed into a JSONL sink and a live profiler, replays the
+// recording offline, and requires identical folded output. The add
+// emits nested spans and commits, which is all the round trip needs.
+func TestLiveAndOfflineProfilesAgree(t *testing.T) {
+	live := vprof.New()
+	var jsonl bytes.Buffer
+	js := trace.NewJSONLSink(&jsonl)
+	_, sk := newMachine(t, trace.Tee(js, live))
+	if _, err := sk.Add32(0x89abcdef, 0x12345678); err != nil {
 		t.Fatal(err)
 	}
 	if err := js.Close(); err != nil {
@@ -128,18 +134,30 @@ func buildProfiles(t *testing.T) (*vprof.Profiler, *vprof.Profiler, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return live, vprof.FromEvents(res.Events), m.CPU().TSC()
-}
-
-func TestLiveAndOfflineProfilesAgree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full weird SHA-1 digest")
-	}
-	live, offline, tsc := buildProfiles(t)
-	lf, of := folded(t, live), folded(t, offline)
+	lf, of := folded(t, live), folded(t, vprof.FromEvents(res.Events))
 	if lf != of {
 		t.Errorf("live and offline folded output differ:\nlive:\n%s\noffline:\n%s", lf, of)
 	}
+	for _, frame := range []string{"circuit:add32", "skelly:AND"} {
+		if !strings.Contains(lf, frame) {
+			t.Errorf("frame %q missing from profile:\n%s", frame, lf)
+		}
+	}
+}
+
+// TestLiveProfileOfSHA1 profiles a full weird SHA-1 digest live and
+// checks its frames, its top table and its total against the TSC.
+func TestLiveProfileOfSHA1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full weird SHA-1 digest")
+	}
+	live := vprof.New()
+	m, sk := newMachine(t, live)
+	if _, err := sha1wm.New(sk).Sum([]byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	tsc := m.CPU().TSC()
+	lf := folded(t, live)
 	// The acceptance bound: profile total within 1% of the final
 	// simulated TSC. (They are equal by construction — the cpu emits
 	// commit events up to the end of the run — but the contract is 1%.)
