@@ -234,34 +234,42 @@ func tracesStream(e *engine.Engine, w http.ResponseWriter, r *http.Request) {
 			errorBody{Error: "flight recorder disabled (engine started without one)"})
 		return
 	}
+	streamSSE(w, r, "uwm flight-recorder live tail", "decision", fr.Subscribe)
+}
+
+// streamSSE serves a subscription as server-sent events: a banner
+// comment, then one event per value received, until the client
+// disconnects or the channel closes. subscribe runs only once the
+// connection is known to stream, and its release func runs on return.
+func streamSSE[T any](w http.ResponseWriter, r *http.Request, banner, event string, subscribe func() (<-chan T, func())) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeJSON(w, http.StatusInternalServerError,
 			errorBody{Error: "streaming unsupported by this connection"})
 		return
 	}
-	ch, cancel := fr.Subscribe()
-	defer cancel()
+	ch, release := subscribe()
+	defer release()
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	fmt.Fprint(w, ": uwm flight-recorder live tail\n\n")
+	fmt.Fprintf(w, ": %s\n\n", banner)
 	fl.Flush()
 	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case entry, open := <-ch:
+		case v, open := <-ch:
 			if !open {
 				return
 			}
-			b, err := json.Marshal(entry)
+			b, err := json.Marshal(v)
 			if err != nil {
 				continue
 			}
-			fmt.Fprintf(w, "event: decision\ndata: %s\n\n", b)
+			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
 			fl.Flush()
 		}
 	}

@@ -1,8 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"uwm/internal/engine"
@@ -67,37 +65,10 @@ func alertsStream(e *engine.Engine, w http.ResponseWriter, r *http.Request) {
 			errorBody{Error: "slo engine disabled (engine started without one)"})
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError,
-			errorBody{Error: "streaming unsupported by this connection"})
-		return
-	}
-	id, ch := se.Subscribe()
-	defer se.Unsubscribe(id)
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprint(w, ": uwm alert live tail\n\n")
-	fl.Flush()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case tr, open := <-ch:
-			if !open {
-				return
-			}
-			b, err := json.Marshal(tr)
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(w, "event: transition\ndata: %s\n\n", b)
-			fl.Flush()
-		}
-	}
+	streamSSE(w, r, "uwm alert live tail", "transition", func() (<-chan slo.Transition, func()) {
+		id, ch := se.Subscribe()
+		return ch, func() { se.Unsubscribe(id) }
+	})
 }
 
 // logs serves the event log's in-memory ring, oldest first.
