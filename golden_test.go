@@ -34,18 +34,19 @@ const goldenActs = 300
 
 // goldenDigests are the recorded digests, keyed by run name.
 var goldenDigests = map[string]string{
-	"circopt/adder32":      "56d42d710a11b6e8a20b4b375439c7e6977c3cbb30e897ef9cffb74c6377ff0d",
-	"gate/AND":             "eae107d030b6b22b8e633e04f7c0d15e766f51942022d7f187e5018aaf059deb",
-	"gate/AND_AND_OR":      "5c162ec5b9c6aed147eeabfed4404eed64bf8160070836e5bd8837094cf350fc",
-	"gate/NAND":            "690f258033ddfb12d3b35a66bc0fa01380a6ada029b3b901ae85079c587db628",
-	"gate/OR":              "2d475ef020bfb4fd97d827110d74f0bb0bf81453b62e1d2b9b600472a96a43b7",
-	"gate/TSX_AND":         "1b45967cff57362a5b5f8393144471fc6ea979e1051d538e7e0a131404f7a89f",
-	"gate/TSX_ASSIGN":      "ff5b0161c1437ee4a528b3a1e5182b64e0b897d92059d48f57fffdffe94b0dc3",
-	"gate/TSX_OR":          "f72ec203709695a38d60e5210d2e2102fc1551254b104598e118ccf32fbc2c4d",
-	"gate/TSX_XOR":         "dbd95e9099004ecdf7fb25a735a7c593ee4a239e1f87e54e97091af4b3226139",
-	"paper-noise/mixed":    "4c6fca314c54f15361da4dd23f584aad1fc499aaece7ebb0354c5b774150b9b0",
-	"registers/contention": "a04145db8fe403107e018663c413ac3c5d39955c314bfac306ddeaa7b792d944",
-	"trace/jsonl":          "ca9ae1ab75d41ca8fff56ab1a6c30c028c84328570797f53b097e60c33e579c3",
+	"circopt/adder32":       "56d42d710a11b6e8a20b4b375439c7e6977c3cbb30e897ef9cffb74c6377ff0d",
+	"gate/AND":              "eae107d030b6b22b8e633e04f7c0d15e766f51942022d7f187e5018aaf059deb",
+	"gate/AND_AND_OR":       "5c162ec5b9c6aed147eeabfed4404eed64bf8160070836e5bd8837094cf350fc",
+	"gate/NAND":             "690f258033ddfb12d3b35a66bc0fa01380a6ada029b3b901ae85079c587db628",
+	"gate/OR":               "2d475ef020bfb4fd97d827110d74f0bb0bf81453b62e1d2b9b600472a96a43b7",
+	"gate/TSX_AND":          "1b45967cff57362a5b5f8393144471fc6ea979e1051d538e7e0a131404f7a89f",
+	"gate/TSX_ASSIGN":       "ff5b0161c1437ee4a528b3a1e5182b64e0b897d92059d48f57fffdffe94b0dc3",
+	"gate/TSX_OR":           "f72ec203709695a38d60e5210d2e2102fc1551254b104598e118ccf32fbc2c4d",
+	"gate/TSX_XOR":          "dbd95e9099004ecdf7fb25a735a7c593ee4a239e1f87e54e97091af4b3226139",
+	"paper-noise/mixed":     "4c6fca314c54f15361da4dd23f584aad1fc499aaece7ebb0354c5b774150b9b0",
+	"registers/contention":  "a04145db8fe403107e018663c413ac3c5d39955c314bfac306ddeaa7b792d944",
+	"skelly/adder16-serial": "1f1df456913bcdbd4c3a846a9a76b08d3a88239aed59a9b408457863c5fbd576",
+	"trace/jsonl":           "ca9ae1ab75d41ca8fff56ab1a6c30c028c84328570797f53b097e60c33e579c3",
 }
 
 // goldenGates lists the engine's eight gates in the engine's build order.
@@ -222,14 +223,7 @@ func goldenRuns(t *testing.T) map[string]string {
 	// One adder32 plan, optimized by circopt and evaluated serially on
 	// an engine-style skelly library.
 	{
-		m, err := core.NewMachine(core.Options{Seed: goldenSeed, Noise: noise.Replayable(), TrainIterations: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lib, err := skelly.New(m, skelly.FastConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		m, lib := newGoldenSkelly(t)
 		spec, err := circopt.Preset("adder32")
 		if err != nil {
 			t.Fatal(err)
@@ -256,7 +250,48 @@ func goldenRuns(t *testing.T) map[string]string {
 		fmt.Fprintf(h, "cpu=%+v\n", m.CPU().Stats())
 		got["circopt/adder32"] = digest(h)
 	}
+
+	// One adder16 netlist (CSE twins plus an assign) walked unoptimized,
+	// gate by gate in source order, on an engine-style skelly library.
+	{
+		m, lib := newGoldenSkelly(t)
+		spec, err := circopt.Preset("adder16")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		rng := noise.NewRNG(noise.SubSeed(goldenSeed, 0x5E1))
+		for v := 0; v < 3; v++ {
+			in := make([]int, spec.NumInputs)
+			for k := range in {
+				in[k] = rng.Bit()
+			}
+			c0 := m.CPU().TSC()
+			out, err := lib.EvalSpec(spec, in, uint64(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%v %v %d\n", in, out, m.CPU().TSC()-c0)
+		}
+		fmt.Fprintf(h, "cpu=%+v\n", m.CPU().Stats())
+		got["skelly/adder16-serial"] = digest(h)
+	}
 	return got
+}
+
+// newGoldenSkelly builds an engine-style skelly library on a fresh
+// replayable machine.
+func newGoldenSkelly(t *testing.T) (*core.Machine, *skelly.Skelly) {
+	t.Helper()
+	m, err := core.NewMachine(core.Options{Seed: goldenSeed, Noise: noise.Replayable(), TrainIterations: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := skelly.New(m, skelly.FastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, lib
 }
 
 // TestGoldenPin fails when any pinned run's digest moves.
