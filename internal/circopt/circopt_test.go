@@ -80,6 +80,10 @@ func TestOptimizeGoldenEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Optimize: %v", trial, err)
 		}
+		unopt, err := circopt.Unoptimized(spec)
+		if err != nil {
+			t.Fatalf("trial %d: Unoptimized: %v", trial, err)
+		}
 		for v := 0; v < 8; v++ {
 			in := randomInputs(rng, spec.NumInputs)
 			want, err := spec.Eval(in)
@@ -93,6 +97,9 @@ func TestOptimizeGoldenEquivalence(t *testing.T) {
 			if !equalInts(got, want) {
 				t.Fatalf("trial %d inputs %v: plan %v != spec %v\nstats %+v",
 					trial, in, got, want, plan.Stats)
+			}
+			if got, err = unopt.Golden(in); err != nil || !equalInts(got, want) {
+				t.Fatalf("trial %d inputs %v: unoptimized plan %v (%v) != spec %v", trial, in, got, err, want)
 			}
 		}
 	}
@@ -129,6 +136,20 @@ func TestOptimizePasses(t *testing.T) {
 	}
 	if st.Levels != 2 {
 		t.Errorf("Levels = %d, want 2", st.Levels)
+	}
+
+	// The unoptimized plan keeps all four non-assign gates, the
+	// dead NOT included, and shares the optimized plan's address.
+	unopt, err := circopt.Unoptimized(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := circopt.Stats{GatesIn: 5, Assigns: 1, GatesOut: 4, Levels: 3, MaxWidth: 2}
+	if unopt.Stats != want {
+		t.Errorf("unoptimized stats %+v, want %+v", unopt.Stats, want)
+	}
+	if unopt.Fingerprint != plan.Fingerprint {
+		t.Errorf("unoptimized fingerprint %s, optimized %s", unopt.Fingerprint, plan.Fingerprint)
 	}
 }
 
@@ -167,8 +188,9 @@ func TestConstantFolding(t *testing.T) {
 	}
 }
 
-// TestLevelsWellFormed: levels must partition the plan's gates and
-// every gate's operands must be produced strictly earlier.
+// TestLevelsWellFormed: levels must partition the gates of optimized
+// and unoptimized plans alike, and every gate's operands must be
+// produced strictly earlier.
 func TestLevelsWellFormed(t *testing.T) {
 	rng := noise.NewRNG(11)
 	for trial := 0; trial < 50; trial++ {
@@ -177,26 +199,32 @@ func TestLevelsWellFormed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := make(map[int]bool)
-		ready := make([]int, plan.Slots) // level a slot becomes available
-		for li, level := range plan.Levels {
-			for _, gi := range level {
-				if seen[gi] {
-					t.Fatalf("trial %d: gate %d scheduled twice", trial, gi)
-				}
-				seen[gi] = true
-				g := plan.Gates[gi]
-				if g.Level != li+1 {
-					t.Fatalf("trial %d: gate %d in level group %d but Level=%d", trial, gi, li+1, g.Level)
-				}
-				if ready[g.A] >= g.Level || (g.B >= 0 && ready[g.B] >= g.Level) {
-					t.Fatalf("trial %d: gate %d reads an operand of its own or a later level", trial, gi)
-				}
-				ready[g.Out] = g.Level
-			}
+		unopt, err := circopt.Unoptimized(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(seen) != len(plan.Gates) {
-			t.Fatalf("trial %d: levels cover %d of %d gates", trial, len(seen), len(plan.Gates))
+		for _, plan := range []*circopt.Plan{plan, unopt} {
+			seen := make(map[int]bool)
+			ready := make([]int, plan.Slots) // level a slot becomes available
+			for li, level := range plan.Levels {
+				for _, gi := range level {
+					if seen[gi] {
+						t.Fatalf("trial %d: gate %d scheduled twice", trial, gi)
+					}
+					seen[gi] = true
+					g := plan.Gates[gi]
+					if g.Level != li+1 {
+						t.Fatalf("trial %d: gate %d in level group %d but Level=%d", trial, gi, li+1, g.Level)
+					}
+					if ready[g.A] >= g.Level || (g.B >= 0 && ready[g.B] >= g.Level) {
+						t.Fatalf("trial %d: gate %d reads an operand of its own or a later level", trial, gi)
+					}
+					ready[g.Out] = g.Level
+				}
+			}
+			if len(seen) != len(plan.Gates) {
+				t.Fatalf("trial %d: levels cover %d of %d gates", trial, len(seen), len(plan.Gates))
+			}
 		}
 	}
 }
@@ -212,20 +240,21 @@ func TestStreamSharing(t *testing.T) {
 	or := s.Or(core.WireID(2), core.WireID(3))
 	s.Output(or)
 
-	streams, err := circopt.StreamIDs(s)
+	unopt, err := circopt.Unoptimized(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if streams[0] != streams[1] {
-		t.Errorf("duplicate gates carry different streams: %x vs %x", streams[0], streams[1])
+	streams := unopt.Gates
+	if streams[0].Stream != streams[1].Stream {
+		t.Errorf("duplicate gates carry different streams: %x vs %x", streams[0].Stream, streams[1].Stream)
 	}
 	plan, err := circopt.Optimize(s, circopt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	source := map[uint64]bool{}
-	for _, id := range streams {
-		source[id] = true
+	for _, g := range streams {
+		source[g.Stream] = true
 	}
 	for _, g := range plan.Gates {
 		if !source[g.Stream] {

@@ -60,44 +60,20 @@ func EvalPlan(lib GateLib, plan *Plan, inputs []int, evalSeed uint64) ([]int, er
 	return gather(plan, vals), nil
 }
 
-// EvalSpec evaluates an *unoptimized* netlist serially, gate by gate in
-// source order — the baseline the CircuitThroughput experiment compares
-// plans against. Noise streams are the gates' value numbers (see
-// StreamIDs), which keeps this walk byte-aligned with optimized plans
-// of the same netlist: duplicate gates draw identical noise, assigns
-// cost nothing in either form, and dead gates cannot influence live
-// ones because every activation is independently reseeded.
+// EvalSpec evaluates an *unoptimized* netlist serially, gate by gate
+// in source order: EvalPlan over the netlist's Unoptimized plan (built
+// without the leveling and fingerprint the walk does not read). It is
+// the baseline the CircuitThroughput experiment compares plans against,
+// and it is byte-aligned with optimized plans of the same netlist:
+// duplicate gates draw identical noise, assigns cost nothing in either
+// form, and dead gates cannot influence live ones because every
+// activation is independently reseeded.
 func EvalSpec(lib GateLib, spec *core.CircuitSpec, inputs []int, evalSeed uint64) ([]int, error) {
-	streams, err := StreamIDs(spec)
+	plan, err := sourcePlan(spec)
 	if err != nil {
 		return nil, err
 	}
-	if len(inputs) != spec.NumInputs {
-		return nil, fmt.Errorf("circopt: netlist wants %d inputs, got %d", spec.NumInputs, len(inputs))
-	}
-	vals := make([]int, spec.NumWires())
-	for i, v := range inputs {
-		vals[i] = v & 1
-	}
-	sp := lib.Machine().BeginSpan("circopt:eval-serial")
-	defer lib.Machine().EndSpan(sp)
-	for i, g := range spec.Gates {
-		if g.Op == core.CircAssign {
-			vals[g.Out] = vals[g.A]
-			continue
-		}
-		lib.Machine().ReseedNoise(noise.SubSeed(evalSeed, streams[i]))
-		v, err := lib.GateOp(g.Op, vals[g.A], vals[g.B])
-		if err != nil {
-			return nil, err
-		}
-		vals[g.Out] = v
-	}
-	outs := make([]int, len(spec.Outputs))
-	for i, w := range spec.Outputs {
-		outs[i] = vals[w]
-	}
-	return outs, nil
+	return EvalPlan(lib, plan, inputs, evalSeed)
 }
 
 func gather(plan *Plan, vals []int) []int {

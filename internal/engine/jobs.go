@@ -14,7 +14,6 @@ import (
 	"uwm/internal/circopt"
 	"uwm/internal/core"
 	"uwm/internal/covert"
-	"uwm/internal/noise"
 	"uwm/internal/wmapt"
 )
 
@@ -549,45 +548,34 @@ func runCircuitJob(ctx context.Context, env *Env, params json.RawMessage) (any, 
 	sk.SetCheckpoint(ctx.Err)
 	defer sk.SetCheckpoint(nil)
 
-	res := CircuitResult{Circuit: name}
-	var outs [][]int
-	if p.Optimize == nil || *p.Optimize {
-		var plan *circopt.Plan
-		if c := env.Plans(); c != nil {
-			plan, _, err = c.Plan(spec, circopt.Options{})
-		} else {
-			plan, err = circopt.Optimize(spec, circopt.Options{})
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.Fingerprint = plan.Fingerprint
-		res.GatesIn = plan.Stats.GatesIn
+	optimize := p.Optimize == nil || *p.Optimize
+	var plan *circopt.Plan
+	switch {
+	case !optimize:
+		plan, err = circopt.Unoptimized(spec)
+	case env.Plans() != nil:
+		plan, _, err = env.Plans().Plan(spec, circopt.Options{})
+	default:
+		plan, err = circopt.Optimize(spec, circopt.Options{})
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The value-number stream discipline (see circopt's package doc)
+	// makes both plans' outputs byte-identical under the engine's
+	// replayable noise profile.
+	outs, err := sk.EvalPlanBatch(plan, inputs, env.Seed())
+	if err != nil {
+		return nil, err
+	}
+	// An unoptimized run reports every source gate, assigns included,
+	// as surviving, and no levels.
+	res := CircuitResult{Circuit: name, Fingerprint: plan.Fingerprint, GatesIn: plan.Stats.GatesIn, GatesOut: plan.Stats.GatesIn}
+	if optimize {
 		res.GatesOut = plan.Stats.GatesOut
 		res.Eliminated = plan.Stats.Eliminated()
 		res.Levels = plan.Stats.Levels
-		outs, err = sk.EvalPlanBatch(plan, inputs, env.Seed())
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Unoptimized serial walk under the same per-vector seed
-		// schedule. The value-number stream discipline (see circopt's
-		// package doc) makes this byte-identical to the optimized path
-		// under the engine's replayable noise profile.
-		if res.Fingerprint, err = circopt.Fingerprint(spec, circopt.Options{}); err != nil {
-			return nil, err
-		}
-		res.GatesIn = len(spec.Gates)
-		res.GatesOut = len(spec.Gates)
-		outs = make([][]int, len(inputs))
-		for v, in := range inputs {
-			if outs[v], err = sk.EvalSpec(spec, in, noise.SubSeed(env.Seed(), uint64(v))); err != nil {
-				return nil, err
-			}
-		}
 	}
-
 	res.Outputs = outs
 	res.Golden = make([][]int, len(inputs))
 	for v, in := range inputs {

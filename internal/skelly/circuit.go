@@ -41,9 +41,9 @@ func (s *Skelly) GateOp(op core.CircuitOp, a, b int) (int, error) {
 }
 
 // EvalSpec evaluates a netlist serially and unoptimized, gate by gate
-// in source order — the baseline circuit-evaluation path. Noise
-// streams follow circopt's value-number discipline so the walk stays
-// byte-aligned with optimized plans of the same netlist.
+// in source order — circopt.EvalPlan over the netlist's unoptimized
+// plan, so the walk stays byte-aligned with optimized plans of the
+// same netlist.
 func (s *Skelly) EvalSpec(spec *core.CircuitSpec, inputs []int, evalSeed uint64) ([]int, error) {
 	return circopt.EvalSpec(s, spec, inputs, evalSeed)
 }
