@@ -769,17 +769,15 @@ func (e *Engine) attempts(ctx context.Context, rig *Rig, j *Job, tally *gateTall
 	res := &Result{}
 	var lastErr error
 	var sawPanic bool
+	var cut error // the context error that ended the loop early
 	backoff := policy.Backoff
 
 	for attempt := 0; attempt < policy.Attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if lastErr == nil {
-				lastErr = err
-			}
+		if cut = ctx.Err(); cut != nil {
 			break
 		}
 		if attempt > 0 && lastErr != nil {
-			if err := sleepCtx(ctx, backoff); err != nil {
+			if cut = sleepCtx(ctx, backoff); cut != nil {
 				break
 			}
 			backoff *= 2
@@ -805,7 +803,7 @@ func (e *Engine) attempts(ctx context.Context, rig *Rig, j *Job, tally *gateTall
 		res.Attempts++
 		if err != nil {
 			lastErr = err
-			if ctx.Err() != nil {
+			if cut = ctx.Err(); cut != nil {
 				break
 			}
 			res.Retries++
@@ -869,6 +867,13 @@ func (e *Engine) attempts(ctx context.Context, rig *Rig, j *Job, tally *gateTall
 		}
 	}
 
+	// A deadline or shutdown that cuts the vote short leaves the job
+	// without a result: the attempts that did finish are not the seeded
+	// vote, and their plurality must not pass for it.
+	if cut != nil {
+		return nil, sawPanic, fmt.Errorf("engine: %s job stopped after %d of %d attempts: %w",
+			j.spec.Type, res.Attempts, policy.Attempts, cut)
+	}
 	if len(ballots) == 0 {
 		if lastErr == nil {
 			lastErr = errors.New("engine: no attempt produced a result")

@@ -303,6 +303,38 @@ func TestDeadlineStopsGateLoop(t *testing.T) {
 	}
 }
 
+// TestDeadlineNeverReturnsPartialVote: a deadline that cuts a vote
+// short fails the job. The one attempt that finished must not stand
+// in for the seeded vote of three.
+func TestDeadlineNeverReturnsPartialVote(t *testing.T) {
+	calls := 0
+	Register("test-deadline-vote", func(ctx context.Context, _ *Env, _ json.RawMessage) (any, error) {
+		calls++
+		if calls == 1 {
+			return "ok", nil
+		}
+		select {
+		case <-time.After(10 * time.Second):
+			return "late", nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	e := newTestEngine(t, Config{Workers: 1})
+	snap := waitJob(t, mustSubmit(t, e, JobSpec{
+		Type: "test-deadline-vote", Attempts: 3, Vote: 2, Timeout: 50 * time.Millisecond,
+	}))
+	if snap.Status != StatusFailed {
+		t.Fatalf("status = %s, want %s (result %+v)", snap.Status, StatusFailed, snap.Result)
+	}
+	if snap.Result != nil {
+		t.Errorf("truncated vote returned a result: %+v", snap.Result)
+	}
+	if !strings.Contains(snap.Error, context.DeadlineExceeded.Error()) {
+		t.Errorf("error %q does not mention the deadline", snap.Error)
+	}
+}
+
 // blockingHandler registers a job type that parks until released (or
 // its context is canceled), for queue and drain tests.
 func blockingHandler(t *testing.T, name string) (release func()) {
