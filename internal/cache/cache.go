@@ -13,18 +13,9 @@ import (
 	"uwm/internal/mem"
 )
 
-// ReplacementPolicy selects a victim way within a set and tracks
-// recency. Implementations: LRU and tree-PLRU (the two policies found in
-// the paper's target parts; LRU-state weird registers in Table 1 rely on
-// this state being real).
-type ReplacementPolicy interface {
-	// Touch records a hit on way w of set s.
-	Touch(s, w int)
-	// Victim returns the way to evict from set s.
-	Victim(s int) int
-	// Reset clears all recency state.
-	Reset()
-}
+// The replacement policies are the two found in the paper's target
+// parts, LRU and tree-PLRU. The LRU-state weird registers in Table 1
+// rely on their recency state being real.
 
 // LRU is a true least-recently-used policy.
 type LRU struct {
@@ -38,13 +29,13 @@ func NewLRU(sets, ways int) *LRU {
 	return &LRU{ways: ways, stamp: make([]uint64, sets*ways)}
 }
 
-// Touch implements ReplacementPolicy.
+// Touch records a hit on way w of set s.
 func (l *LRU) Touch(s, w int) {
 	l.clock++
 	l.stamp[s*l.ways+w] = l.clock
 }
 
-// Victim implements ReplacementPolicy.
+// Victim returns the least recently used way of set s.
 func (l *LRU) Victim(s int) int {
 	stamp := l.stamp[s*l.ways : (s+1)*l.ways]
 	best := 0
@@ -56,7 +47,7 @@ func (l *LRU) Victim(s int) int {
 	return best
 }
 
-// Reset implements ReplacementPolicy.
+// Reset clears all recency state.
 func (l *LRU) Reset() {
 	clear(l.stamp)
 	l.clock = 0
@@ -107,13 +98,13 @@ func NewTreePLRU(sets, ways int) *TreePLRU {
 	return t
 }
 
-// Touch implements ReplacementPolicy: flip tree nodes away from way w.
+// Touch records a hit on way w of set s: flip tree nodes away from w.
 func (t *TreePLRU) Touch(s, w int) {
 	t.bits[s] = t.bits[s]&^t.clr[w] | t.set[w]
 }
 
-// Victim implements ReplacementPolicy: follow tree nodes toward the
-// pseudo-least-recently-used way.
+// Victim returns the way to evict from set s: follow tree nodes toward
+// the pseudo-least-recently-used way.
 func (t *TreePLRU) Victim(s int) int {
 	bits := t.bits[s]
 	node, lo, hi := 0, 0, t.ways
@@ -128,13 +119,8 @@ func (t *TreePLRU) Victim(s int) int {
 	return lo
 }
 
-// Reset implements ReplacementPolicy.
+// Reset clears all recency state.
 func (t *TreePLRU) Reset() { clear(t.bits) }
-
-var (
-	_ ReplacementPolicy = (*LRU)(nil)
-	_ ReplacementPolicy = (*TreePLRU)(nil)
-)
 
 // Config describes one cache level's geometry.
 type Config struct {

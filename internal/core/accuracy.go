@@ -40,12 +40,6 @@ func (r AccuracyReport) String() string {
 		r.Gate, r.Correct, r.Operations, r.Accuracy(), r.SpuriousAborts)
 }
 
-// BitGate is the common evaluation surface of both gate families.
-type BitGate interface {
-	Name() string
-	Arity() int
-}
-
 // MeasureBPGate runs n activations of a BP-family gate with uniformly
 // random inputs and scores them against the gate's truth table.
 func MeasureBPGate(g *BPGate, n int, rng *noise.RNG) (AccuracyReport, error) {

@@ -171,11 +171,11 @@ func TestSpectreV1ArchitecturallyClean(t *testing.T) {
 	}
 	sp.PlantSecret(0x42)
 	rec := trace.NewRecorder(0)
-	m.CPU().SetRecorder(rec)
+	m.CPU().SetSink(rec)
 	if _, err := sp.LeakSecret(2); err != nil {
 		t.Fatal(err)
 	}
-	m.CPU().SetRecorder(nil)
+	m.CPU().SetSink(nil)
 	for _, e := range rec.Architectural() {
 		if e.Kind == trace.KindRegWrite && e.Value == 0x42 && e.Text == "r4" {
 			t.Fatal("secret value committed architecturally during the attack")

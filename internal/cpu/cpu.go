@@ -245,31 +245,12 @@ func (c *CPU) SetSink(s trace.Sink) { c.sink = s }
 // Sink returns the attached sink, possibly nil.
 func (c *CPU) Sink() trace.Sink { return c.sink }
 
-// SetRecorder attaches an event recorder (nil detaches), a
-// compatibility wrapper over SetSink.
-func (c *CPU) SetRecorder(rec *trace.Recorder) {
-	if rec == nil {
-		c.sink = nil
-		return
-	}
-	c.sink = rec
-}
-
 // SetObserved attaches or detaches the modelled debugger: while true,
 // every transactional region aborts on entry.
 func (c *CPU) SetObserved(on bool) { c.observed = on }
 
 // Observed reports whether a debugger is attached.
 func (c *CPU) Observed() bool { return c.observed }
-
-// Recorder returns the attached sink when it is a buffering Recorder,
-// nil otherwise (including when the recorder is wrapped in a Tee).
-func (c *CPU) Recorder() *trace.Recorder {
-	if r, ok := c.sink.(*trace.Recorder); ok {
-		return r
-	}
-	return nil
-}
 
 // tracing reports whether an attached sink would observe an emitted
 // event; emit sites use it to skip expensive event assembly
