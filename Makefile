@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/bexpr
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/wmapt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s ./internal/circopt
+	$(GO) test -run '^$$' -fuzz '^FuzzParseJSONL$$' -fuzztime 10s ./internal/traceanalyze
 
 # perfbench vets and tests the benchmark module, which the root
 # `go test ./...` does not reach, so removing a symbol it imports fails

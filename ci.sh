@@ -76,6 +76,7 @@ go test -run '^$' -fuzz '^FuzzParseTimedRead$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/bexpr
 go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 10s ./internal/wmapt
 go test -run '^$' -fuzz '^FuzzDecodeSpec$' -fuzztime 10s ./internal/circopt
+go test -run '^$' -fuzz '^FuzzParseJSONL$' -fuzztime 10s ./internal/traceanalyze
 
 echo "== perfbench (frozen API) =="
 # perfbench is its own module, so the root go test ./... never reaches
