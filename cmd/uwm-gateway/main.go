@@ -17,15 +17,15 @@
 // On top of the pass-through surface the gateway adds:
 //
 //   - health-aware routing: an active prober walks each backend's
-//     /healthz and /v1/slo; draining (503) and shedding (429) backends
-//     are routed around, and weighted rendezvous hashing on (job type,
-//     seed) keeps a job family on the backend calibrated for it;
+//     /healthz; draining (503) and shedding (429) backends are routed
+//     around, and each submission goes to the routable backend with the
+//     fewest of the gateway's submissions in flight;
 //   - hedged sync submissions: after the job type's observed p95, a
 //     second attempt races on another backend under a ~10% budget;
 //   - a content-addressed result cache: deterministic (type, payload,
 //     seed) jobs are served from an LRU on repeat, and concurrent
 //     duplicates collapse onto one backend submission;
-//   - GET /v1/cluster: per-backend health, weights, in-flight counts,
+//   - GET /v1/cluster: per-backend health, in-flight counts,
 //     hedge accounting and cache hit/miss/collapse stats (the uwm-top
 //     backends panel polls it).
 //

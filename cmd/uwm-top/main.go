@@ -12,9 +12,9 @@
 //
 // Pointed at a cluster gateway (uwm-gateway) instead of a single
 // uwm-serve, the per-worker panels give way to a backends panel polled
-// from GET /v1/cluster: per-backend routing state, weight, latency EWMA
-// and in-flight count, next to the result cache's hit ratio and the
-// hedge accounting.
+// from GET /v1/cluster: per-backend routing state and in-flight count
+// (the gateway routes to the least-loaded backend), next to the result
+// cache's hit ratio and the hedge accounting.
 //
 // The per-worker panels are rendered by the same code the offline
 // `uwm-trace -health` mode uses, so an operator watching uwm-top and an
@@ -191,13 +191,11 @@ func renderFrame(base string, width int) (string, error) {
 // backendView mirrors the fields of a cluster.BackendStatus row this
 // console displays.
 type backendView struct {
-	Index       int     `json:"index"`
-	URL         string  `json:"url"`
-	State       string  `json:"state"`
-	Weight      float64 `json:"weight"`
-	EWMASeconds float64 `json:"ewma_seconds"`
-	Inflight    int64   `json:"inflight"`
-	LastError   string  `json:"last_error"`
+	Index     int    `json:"index"`
+	URL       string `json:"url"`
+	State     string `json:"state"`
+	Inflight  int64  `json:"inflight"`
+	LastError string `json:"last_error"`
 }
 
 // clusterView mirrors the GET /v1/cluster payload.
@@ -217,10 +215,10 @@ type clusterView struct {
 	} `json:"hedge"`
 }
 
-// renderCluster appends the gateway backends panel: per-backend state,
-// routing weight, latency EWMA and in-flight count, plus the result
-// cache's hit ratio and the hedge accounting. Pointed at a plain
-// uwm-serve (404) the panel is just omitted.
+// renderCluster appends the gateway backends panel: per-backend state
+// and in-flight count, plus the result cache's hit ratio and the hedge
+// accounting. Pointed at a plain uwm-serve (404) the panel is just
+// omitted.
 func renderCluster(b *strings.Builder, base string) {
 	var cv clusterView
 	if err := getJSON200(base+"/v1/cluster", &cv); err != nil || len(cv.Backends) == 0 {
@@ -237,8 +235,8 @@ func renderCluster(b *strings.Builder, base string) {
 		cv.Cache.Hits, cv.Cache.Misses, cv.Cache.Collapsed,
 		cv.Hedge.Launched, cv.Hedge.Won, cv.Hedge.Suppressed)
 	for _, be := range cv.Backends {
-		fmt.Fprintf(b, "  [%d] %-28s %-9s weight=%.2f ewma=%6.1fms inflight=%d",
-			be.Index, be.URL, be.State, be.Weight, be.EWMASeconds*1e3, be.Inflight)
+		fmt.Fprintf(b, "  [%d] %-28s %-9s inflight=%d",
+			be.Index, be.URL, be.State, be.Inflight)
 		if be.LastError != "" {
 			fmt.Fprintf(b, "  err=%s", be.LastError)
 		}

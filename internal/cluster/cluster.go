@@ -13,11 +13,12 @@
 //     hashes the canonicalized request, collapses concurrent
 //     duplicates onto one backend submission (single-flight), and
 //     serves repeats from a TTL+size-bounded LRU.
-//   - Gates are sensitive to per-node calibration state, so routing is
-//     seed-affine: weighted rendezvous hashing on (job type, seed)
-//     keeps a job family on the backend whose workers are calibrated
-//     warm for it, while EWMA-latency-derived weights shift share away
-//     from slow or SLO-degraded backends.
+//   - Every backend builds byte-identical rigs, so where a job runs does
+//     not change its bytes. Routing therefore needs one signal: each
+//     submission goes to the routable backend with the fewest of the
+//     gateway's own submissions in flight. A slow backend, or one
+//     burning its SLO budget, holds its requests longer, which alone
+//     steers new work away from it.
 //   - Latency tails are noise-driven (a drifting machine, a
 //     recalibrating worker), so sync submissions hedge: after the job
 //     type's observed p95, a second attempt races on a different
@@ -25,7 +26,7 @@
 //     canceled. A token budget caps hedges at ~10% of traffic.
 //
 // Failure handling is probe-plus-traffic: an active prober walks
-// /healthz and /v1/slo every interval, and live submissions that hit a
+// /healthz every interval, and live submissions that hit a
 // dead, draining (503) or shedding (429, honoring its Retry-After)
 // backend mark it immediately and fail over to another — so a backend
 // SIGTERMed mid-burst costs zero client-visible failures.
@@ -36,7 +37,7 @@
 // passes through to the owning backend's flight recorder — so
 // `uwm-trace -from` pointed at the gateway replays a recording exactly
 // as if pointed at the backend. GET /v1/cluster reports per-backend
-// health, weights, in-flight counts, hedge accounting and cache stats.
+// health, in-flight counts, hedge accounting and cache stats.
 package cluster
 
 import (
@@ -64,7 +65,6 @@ const (
 	MetricCacheBytes      = "uwm_gateway_cache_bytes"
 	MetricHedges          = "uwm_gateway_hedges_total"
 	MetricBackendUp       = "uwm_gateway_backend_up"
-	MetricBackendEWMA     = "uwm_gateway_backend_ewma_seconds"
 	MetricBackendInflight = "uwm_gateway_backend_inflight"
 	MetricProbeFailures   = "uwm_gateway_probe_failures_total"
 )
@@ -302,17 +302,14 @@ func (g *Gateway) healthz(w http.ResponseWriter, _ *http.Request) {
 
 // BackendStatus is one backend's row in the /v1/cluster payload.
 type BackendStatus struct {
-	Index       int       `json:"index"`
-	URL         string    `json:"url"`
-	State       State     `json:"state"`
-	Weight      float64   `json:"weight"`
-	EWMASeconds float64   `json:"ewma_seconds"`
-	Inflight    int64     `json:"inflight"`
-	SLODegraded bool      `json:"slo_degraded,omitempty"`
-	LastProbe   time.Time `json:"last_probe"`
-	LastError   string    `json:"last_error,omitempty"`
-	Probes      uint64    `json:"probes"`
-	ProbeFails  uint64    `json:"probe_failures"`
+	Index      int       `json:"index"`
+	URL        string    `json:"url"`
+	State      State     `json:"state"`
+	Inflight   int64     `json:"inflight"`
+	LastProbe  time.Time `json:"last_probe"`
+	LastError  string    `json:"last_error,omitempty"`
+	Probes     uint64    `json:"probes"`
+	ProbeFails uint64    `json:"probe_failures"`
 }
 
 // ClusterStatus is the GET /v1/cluster payload.
@@ -331,16 +328,13 @@ func (g *Gateway) Status() ClusterStatus {
 	for _, b := range g.pool.Backends() {
 		b.mu.Lock()
 		row := BackendStatus{
-			Index:       b.Index,
-			URL:         b.URL,
-			State:       b.stateLocked(time.Now()),
-			EWMASeconds: b.ewma,
-			SLODegraded: b.sloDegraded,
-			LastProbe:   b.lastProbe,
-			LastError:   b.lastErr,
+			Index:     b.Index,
+			URL:       b.URL,
+			State:     b.stateLocked(time.Now()),
+			LastProbe: b.lastProbe,
+			LastError: b.lastErr,
 		}
 		b.mu.Unlock()
-		row.Weight = b.weight()
 		row.Inflight = b.inflight.Load()
 		row.Probes = b.probes.Load()
 		row.ProbeFails = b.probeFails.Load()

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,16 +20,22 @@ import (
 	"uwm/internal/metrics"
 )
 
-// newBackendServer starts a real uwm-serve surface — engine plus HTTP
-// API plus flight recorder — for gateway tests to front.
+// newBackendServer starts a real one-worker uwm-serve surface — engine
+// plus HTTP API plus flight recorder — for gateway tests to front.
 func newBackendServer(t *testing.T) *httptest.Server {
+	return newWrappedBackendServer(t, func(h http.Handler) http.Handler { return h })
+}
+
+// newWrappedBackendServer is newBackendServer with wrap around the
+// backend's HTTP API.
+func newWrappedBackendServer(t *testing.T, wrap func(http.Handler) http.Handler) *httptest.Server {
 	t.Helper()
 	fr := flightrec.New(flightrec.Config{HeadRate: 1})
 	e, err := engine.New(engine.Config{Workers: 1, FlightRec: fr})
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)
 	}
-	srv := httptest.NewServer(httpapi.New(e))
+	srv := httptest.NewServer(wrap(httpapi.New(e)))
 	t.Cleanup(func() {
 		srv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -172,6 +181,98 @@ func TestGatewayFailoverOnBackendDeath(t *testing.T) {
 		}
 		return st.Backends[0].State == StateDown && st.Backends[1].State == StateUp
 	}, "dead backend visible in /v1/cluster")
+}
+
+// TestGatewaySpreadsConcurrentSubmissions sends two sync submissions at
+// once through a gateway over two one-worker backends. Each backend
+// holds its submission until both have arrived, so the first is still in
+// flight when the second is routed: they must land on different
+// backends.
+func TestGatewaySpreadsConcurrentSubmissions(t *testing.T) {
+	var arrivals sync.WaitGroup
+	arrivals.Add(2)
+	both := make(chan struct{})
+	go func() { arrivals.Wait(); close(both) }()
+	hold := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost {
+				arrivals.Done()
+				select {
+				case <-both:
+				case <-time.After(5 * time.Second):
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	b1 := newWrappedBackendServer(t, hold)
+	b2 := newWrappedBackendServer(t, hold)
+	gw := newGateway(t, Config{
+		Backends:      []string{b1.URL, b2.URL},
+		ProbeInterval: time.Hour,
+		CacheEntries:  -1,
+	})
+
+	var wg sync.WaitGroup
+	got := make([]*httptest.ResponseRecorder, 2)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"type":"gate","seed":%d,"params":{"gate":"TSX_XOR","random":4}}`, i+1)
+			got[i] = do(gw, http.MethodPost, "/v1/jobs?wait=1", body, nil)
+		}()
+	}
+	wg.Wait()
+	for i, rr := range got {
+		if rr.Code != http.StatusOK {
+			t.Fatalf("submission %d: %d: %s", i, rr.Code, rr.Body.String())
+		}
+	}
+	a, b := got[0].Header().Get("X-UWM-Backend"), got[1].Header().Get("X-UWM-Backend")
+	if a == "" || a == b {
+		t.Fatalf("concurrent submissions went to backends %q and %q, want two different ones", a, b)
+	}
+}
+
+// TestGatewayNeverAsksForSLO pins that routing reads nothing but
+// /healthz and the gateway's own in-flight counts: over several probe
+// rounds and submissions no request reaches a backend's /v1/slo.
+func TestGatewayNeverAsksForSLO(t *testing.T) {
+	var healthz, slo atomic.Int32
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+			healthz.Add(1)
+			_, _ = io.WriteString(w, `{"status":"ok"}`)
+		case r.URL.Path == "/v1/slo":
+			slo.Add(1)
+			_, _ = io.WriteString(w, `{"slos":[]}`)
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = io.WriteString(w, `{"id":"job-stub-1","status":"done"}`)
+		default:
+			http.NotFound(w, r)
+		}
+	})
+	b1 := httptest.NewServer(handler)
+	defer b1.Close()
+	b2 := httptest.NewServer(handler)
+	defer b2.Close()
+	gw := newGateway(t, Config{
+		Backends:      []string{b1.URL, b2.URL},
+		ProbeInterval: 10 * time.Millisecond,
+	})
+	for seed := 1; seed <= 4; seed++ {
+		body := fmt.Sprintf(`{"type":"gate","seed":%d,"params":{"gate":"TSX_XOR","random":4}}`, seed)
+		if rr := do(gw, http.MethodPost, "/v1/jobs?wait=1", body, nil); rr.Code != http.StatusOK {
+			t.Fatalf("seed %d: %d: %s", seed, rr.Code, rr.Body.String())
+		}
+	}
+	waitFor(t, 2*time.Second, func() bool { return healthz.Load() >= 6 }, "three probe rounds")
+	if n := slo.Load(); n != 0 {
+		t.Fatalf("gateway sent %d requests to /v1/slo, want 0", n)
+	}
 }
 
 func TestGatewayTraceContinuity(t *testing.T) {

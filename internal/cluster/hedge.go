@@ -7,14 +7,6 @@ import (
 	"uwm/internal/metrics"
 )
 
-// hedgeLatencyBuckets spans the same range as the engine's job-latency
-// histogram: sub-millisecond gate evaluations up to minute-scale
-// hashes.
-var hedgeLatencyBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
-}
-
 // hedgeMinSamples is how many latency samples a job type needs before
 // its own p95 drives the hedge delay; colder types use hedgeColdDelay.
 const hedgeMinSamples = 20
@@ -117,7 +109,7 @@ func (h *hedger) observe(jobType string, d time.Duration) {
 	h.mu.Lock()
 	hist := h.lat[jobType]
 	if hist == nil {
-		hist = metrics.NewHistogram(hedgeLatencyBuckets)
+		hist = metrics.NewHistogram(metrics.JobSecondsBuckets())
 		h.lat[jobType] = hist
 	}
 	h.mu.Unlock()

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"hash/fnv"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -37,23 +35,6 @@ const (
 	StateDown State = "down"
 )
 
-// ewmaAlpha is the smoothing factor of the per-backend latency EWMA:
-// every new sample contributes 20%, so the estimate tracks a shifted
-// latency regime within a handful of requests without whiplashing on
-// one outlier.
-const ewmaAlpha = 0.2
-
-// ewmaRef is the latency at which a backend's routing weight halves.
-// Weights are 1/(1+ewma/ewmaRef): a 50ms backend weighs half of an
-// instant one, a 150ms backend a quarter — latency shifts share, it
-// never hard-excludes.
-const ewmaRef = 50 * time.Millisecond
-
-// sloDegradedFactor is the weight multiplier applied while a backend
-// reports an exhausted error budget on any SLO — route around a
-// backend that is burning its budget, without abandoning it entirely.
-const sloDegradedFactor = 0.5
-
 // Backend is one uwm-serve instance the gateway fronts.
 type Backend struct {
 	// URL is the backend's base URL (scheme://host:port, no trailing
@@ -63,14 +44,14 @@ type Backend struct {
 	// the backend's metrics and names it in /v1/cluster.
 	Index int
 
-	mu          sync.Mutex
-	state       State
-	lastErr     string
-	lastProbe   time.Time
-	ewma        float64 // seconds; 0 until the first sample
-	shedUntil   time.Time
-	sloDegraded bool
+	mu        sync.Mutex
+	state     State
+	lastErr   string
+	lastProbe time.Time
+	shedUntil time.Time
 
+	// inflight counts this gateway's submissions now proxied to the
+	// backend: Pool.Pick claims a slot, the submitter releases it.
 	inflight   atomic.Int64
 	probes     atomic.Uint64
 	probeFails atomic.Uint64
@@ -98,37 +79,6 @@ func (b *Backend) routable(now time.Time) bool {
 	defer b.mu.Unlock()
 	st := b.stateLocked(now)
 	return st == StateUp || st == StateUnknown
-}
-
-// weight is the backend's routing weight: inverse-latency via the
-// EWMA, halved while the backend's SLO budget is exhausted. A backend
-// with no samples yet weighs 1 (full share).
-func (b *Backend) weight() float64 {
-	b.mu.Lock()
-	ew := b.ewma
-	deg := b.sloDegraded
-	b.mu.Unlock()
-	w := 1.0
-	if ew > 0 {
-		w = 1 / (1 + ew/ewmaRef.Seconds())
-	}
-	if deg {
-		w *= sloDegradedFactor
-	}
-	return w
-}
-
-// observeLatency folds one successful sync-request latency into the
-// EWMA.
-func (b *Backend) observeLatency(d time.Duration) {
-	s := d.Seconds()
-	b.mu.Lock()
-	if b.ewma == 0 {
-		b.ewma = s
-	} else {
-		b.ewma = (1-ewmaAlpha)*b.ewma + ewmaAlpha*s
-	}
-	b.mu.Unlock()
 }
 
 // markUp records a live success (probes also call it).
@@ -171,6 +121,7 @@ func (b *Backend) shed(retryAfter time.Duration) {
 // Pool is the probed backend set plus the routing policy over it.
 type Pool struct {
 	backends []*Backend
+	pickMu   sync.Mutex // makes Pick's choice and its in-flight claim one step
 	interval time.Duration
 	client   *http.Client
 
@@ -201,9 +152,7 @@ func newPool(urls []string, interval time.Duration, client *http.Client, reg *me
 			}
 			return 0
 		}, label)
-		reg.GaugeFunc(MetricBackendEWMA, "EWMA of successful request latency in seconds",
-			func() float64 { b.mu.Lock(); defer b.mu.Unlock(); return b.ewma }, label)
-		reg.GaugeFunc(MetricBackendInflight, "requests currently proxied to the backend",
+		reg.GaugeFunc(MetricBackendInflight, "submissions currently proxied to the backend",
 			func() float64 { return float64(b.inflight.Load()) }, label)
 	}
 	p.probeFailures = reg.Counter(MetricProbeFailures, "health probes that found a backend unreachable")
@@ -267,15 +216,7 @@ type healthzProbe struct {
 	Status string `json:"status"`
 }
 
-// sloProbe mirrors the GET /v1/slo fields the prober reads.
-type sloProbe struct {
-	SLOs []struct {
-		BudgetRemaining float64 `json:"budget_remaining"`
-	} `json:"slos"`
-}
-
-// probe refreshes one backend's state from its /healthz (routability)
-// and /v1/slo (weight penalty while any error budget is exhausted).
+// probe refreshes one backend's routing state from its /healthz.
 func (p *Pool) probe(b *Backend) {
 	b.probes.Add(1)
 	b.mu.Lock()
@@ -301,87 +242,50 @@ func (p *Pool) probe(b *Backend) {
 			reason = "healthz 503"
 		}
 		b.markDraining(reason)
-		return
 	default:
 		b.probeFails.Add(1)
 		p.probeFailures.Inc()
 		b.markDown("healthz status " + strconv.Itoa(resp.StatusCode))
-		return
 	}
-
-	// SLO budget probe: best-effort garnish. A backend without the SLO
-	// engine (404) or an unreadable body just clears the penalty.
-	degraded := false
-	if resp, err := p.client.Get(b.URL + "/v1/slo"); err == nil {
-		if resp.StatusCode == http.StatusOK {
-			var sp sloProbe
-			if json.NewDecoder(resp.Body).Decode(&sp) == nil {
-				for _, s := range sp.SLOs {
-					if s.BudgetRemaining <= 0 {
-						degraded = true
-					}
-				}
-			}
-		}
-		resp.Body.Close()
-	}
-	b.mu.Lock()
-	b.sloDegraded = degraded
-	b.mu.Unlock()
 }
 
-// Pick selects the backend for an affinity key with weighted
-// rendezvous hashing: every backend scores -weight/ln(h(key,backend))
-// and the best routable, non-excluded score wins. The same key lands
-// on the same backend while the pool is stable — that is the
-// calibration-affinity property: a job family keeps hitting the
-// backend whose workers' machines are warm for it — yet each backend's
-// share of the keyspace scales with its latency-derived weight, and
-// removing a backend only remaps the keys it owned.
+// Pick claims the routable, non-excluded backend with the fewest
+// submissions in flight from this gateway; ties go to the lowest index.
+// A slow or overloaded backend holds its requests longer, so its count
+// alone steers new work away from it. The choice and the in-flight
+// increment happen under one lock, so concurrent submissions spread
+// over idle backends instead of all taking the same one. The caller
+// releases the claim with release when its request finishes.
 //
 // When no routable backend remains, Pick falls back to any
 // non-excluded backend regardless of state: trying a draining node and
 // surfacing its 503 beats refusing on possibly-stale probe data.
-func (p *Pool) Pick(key string, excluded map[int]bool) *Backend {
+func (p *Pool) Pick(excluded map[int]bool) *Backend {
 	now := time.Now()
-	if b := p.pick(key, excluded, func(b *Backend) bool { return b.routable(now) }); b != nil {
-		return b
+	p.pickMu.Lock()
+	defer p.pickMu.Unlock()
+	b := p.leastLoaded(excluded, func(b *Backend) bool { return b.routable(now) })
+	if b == nil {
+		b = p.leastLoaded(excluded, func(*Backend) bool { return true })
 	}
-	return p.pick(key, excluded, func(*Backend) bool { return true })
+	if b != nil {
+		b.inflight.Add(1)
+	}
+	return b
 }
 
-func (p *Pool) pick(key string, excluded map[int]bool, eligible func(*Backend) bool) *Backend {
+func (p *Pool) leastLoaded(excluded map[int]bool, eligible func(*Backend) bool) *Backend {
 	var best *Backend
-	bestScore := math.Inf(-1)
 	for _, b := range p.backends {
 		if excluded[b.Index] || !eligible(b) {
 			continue
 		}
-		s := rendezvousScore(key, b.URL, b.weight())
-		if s > bestScore {
-			best, bestScore = b, s
+		if best == nil || b.inflight.Load() < best.inflight.Load() {
+			best = b
 		}
 	}
 	return best
 }
 
-// rendezvousScore is the weighted-rendezvous score: hash (key,
-// backend) to a uniform u in (0,1), score -w/ln(u). Scores follow an
-// exponential distribution with rate 1/w, so each backend wins a
-// keyspace share proportional to its weight.
-func rendezvousScore(key, url string, w float64) float64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	h.Write([]byte{0xff})
-	h.Write([]byte(url))
-	// 53 mantissa bits of the hash, mapped into (0,1]; nudge 0 off the
-	// log's pole.
-	u := float64(h.Sum64()>>11) / float64(1<<53)
-	if u <= 0 {
-		u = 1 / float64(1<<53)
-	}
-	if w <= 0 {
-		w = 1e-9
-	}
-	return -w / math.Log(u)
-}
+// release returns the in-flight slot a Pick claimed.
+func (b *Backend) release() { b.inflight.Add(-1) }

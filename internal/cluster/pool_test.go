@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -20,54 +21,93 @@ func staticPool(states ...State) *Pool {
 	return p
 }
 
-func TestPickIsStablePerKey(t *testing.T) {
+func TestPickTakesLeastLoaded(t *testing.T) {
 	p := staticPool(StateUp, StateUp, StateUp)
-	first := p.Pick("gate\xff7", nil)
-	if first == nil {
-		t.Fatal("Pick returned nil with three up backends")
+	p.backends[0].inflight.Store(3)
+	p.backends[1].inflight.Store(1)
+	p.backends[2].inflight.Store(2)
+	b := p.Pick(nil)
+	if b == nil || b.Index != 1 {
+		t.Fatalf("Pick over in-flight counts 3/1/2 = %v, want backend 1", b)
 	}
-	for i := 0; i < 50; i++ {
-		if got := p.Pick("gate\xff7", nil); got != first {
-			t.Fatalf("iteration %d: key remapped from backend %d to %d with a stable pool",
-				i, first.Index, got.Index)
-		}
+	if n := b.inflight.Load(); n != 2 {
+		t.Fatalf("picked backend's in-flight count = %d, want the claim to raise it to 2", n)
+	}
+	b.release()
+	if n := b.inflight.Load(); n != 1 {
+		t.Fatalf("in-flight count after release = %d, want 1", n)
 	}
 }
 
-func TestPickSpreadsAcrossKeys(t *testing.T) {
+func TestPickTiesGoToLowestIndex(t *testing.T) {
 	p := staticPool(StateUp, StateUp, StateUp)
-	seen := map[int]int{}
-	for seed := 0; seed < 200; seed++ {
-		b := p.Pick(fmt.Sprintf("gate\xff%d", seed), nil)
-		seen[b.Index]++
-	}
-	for i := range p.backends {
-		if seen[i] == 0 {
-			t.Fatalf("backend %d never selected across 200 keys: %v", i, seen)
+	for i := 0; i < 3; i++ {
+		b := p.Pick(nil)
+		if b.Index != 0 {
+			t.Fatalf("idle pool, pick %d: backend %d, want 0", i, b.Index)
 		}
+		b.release()
+	}
+	p.backends[0].inflight.Store(1)
+	if b := p.Pick(nil); b.Index != 1 {
+		t.Fatalf("backends 1 and 2 tied at zero: picked %d, want 1", b.Index)
+	}
+}
+
+func TestPickConcurrentClaimsAreDistinct(t *testing.T) {
+	const n = 8
+	states := make([]State, n)
+	for i := range states {
+		states[i] = StateUp
+	}
+	p := staticPool(states...)
+	start := make(chan struct{})
+	got := make(chan int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got <- p.Pick(nil).Index
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(got)
+	seen := map[int]bool{}
+	for idx := range got {
+		if seen[idx] {
+			t.Fatalf("two of %d simultaneous picks over %d idle backends took backend %d", n, n, idx)
+		}
+		seen[idx] = true
 	}
 }
 
 func TestPickExcludesAndFailsOver(t *testing.T) {
 	p := staticPool(StateUp, StateUp)
-	first := p.Pick("sha1\xff1", nil)
-	second := p.Pick("sha1\xff1", map[int]bool{first.Index: true})
+	first := p.Pick(nil)
+	first.release()
+	second := p.Pick(map[int]bool{first.Index: true})
 	if second == nil || second.Index == first.Index {
-		t.Fatalf("exclusion did not move the key off backend %d", first.Index)
+		t.Fatalf("exclusion did not move the pick off backend %d", first.Index)
 	}
-	if b := p.Pick("sha1\xff1", map[int]bool{0: true, 1: true}); b != nil {
+	second.release()
+	if b := p.Pick(map[int]bool{0: true, 1: true}); b != nil {
 		t.Fatalf("all-excluded pick returned backend %d, want nil", b.Index)
 	}
 }
 
 func TestPickSkipsDrainingAndDown(t *testing.T) {
 	p := staticPool(StateUp, StateUp, StateUp)
-	for seed := 0; seed < 50; seed++ {
-		key := fmt.Sprintf("gate\xff%d", seed)
-		victim := p.Pick(key, nil)
+	for _, victim := range p.backends {
 		victim.markDraining("test")
-		if got := p.Pick(key, nil); got == victim {
-			t.Fatalf("seed %d: key stayed on draining backend %d", seed, victim.Index)
+		for i := 0; i < 5; i++ {
+			got := p.Pick(nil)
+			if got == victim {
+				t.Fatalf("pick %d landed on draining backend %d", i, victim.Index)
+			}
+			got.release()
 		}
 		victim.markUp()
 	}
@@ -76,59 +116,30 @@ func TestPickSkipsDrainingAndDown(t *testing.T) {
 	for _, b := range p.backends {
 		b.markDown("test")
 	}
-	if b := p.Pick("gate\xff1", nil); b == nil {
+	if b := p.Pick(nil); b == nil {
 		t.Fatal("all-down pool refused to pick; want desperation fallback")
 	}
 }
 
 func TestPickSkipsSheddingUntilWindowElapses(t *testing.T) {
 	p := staticPool(StateUp, StateUp)
-	key := "apt\xff3"
-	victim := p.Pick(key, nil)
+	victim := p.Pick(nil)
+	victim.release()
 	victim.shed(50 * time.Millisecond)
 	if victim.State() != StateShedding {
 		t.Fatalf("state after shed = %q, want shedding", victim.State())
 	}
-	if got := p.Pick(key, nil); got == victim {
-		t.Fatal("key stayed on shedding backend inside its Retry-After window")
+	got := p.Pick(nil)
+	if got == victim {
+		t.Fatal("pick landed on shedding backend inside its Retry-After window")
 	}
+	got.release()
 	time.Sleep(60 * time.Millisecond)
 	if victim.State() != StateUp {
 		t.Fatalf("state after window elapsed = %q, want up", victim.State())
 	}
-	if got := p.Pick(key, nil); got != victim {
-		t.Fatalf("key did not return to backend %d after its shedding window", victim.Index)
-	}
-}
-
-func TestWeightShiftsShareTowardFastBackends(t *testing.T) {
-	p := staticPool(StateUp, StateUp)
-	// Backend 0 reports second-scale latency, backend 1 is pristine.
-	p.backends[0].observeLatency(time.Second)
-	slow, fast := 0, 0
-	for seed := 0; seed < 500; seed++ {
-		switch p.Pick(fmt.Sprintf("gate\xff%d", seed), nil).Index {
-		case 0:
-			slow++
-		default:
-			fast++
-		}
-	}
-	if fast <= slow {
-		t.Fatalf("latency-weighted routing gave the 1s-EWMA backend %d/500 keys vs %d", slow, fast)
-	}
-}
-
-func TestEWMAConverges(t *testing.T) {
-	b := &Backend{}
-	for i := 0; i < 100; i++ {
-		b.observeLatency(20 * time.Millisecond)
-	}
-	b.mu.Lock()
-	ew := b.ewma
-	b.mu.Unlock()
-	if ew < 0.015 || ew > 0.025 {
-		t.Fatalf("EWMA after 100 samples of 20ms = %v, want ~0.020", ew)
+	if got := p.Pick(nil); got != victim {
+		t.Fatalf("pick did not return to backend %d after its shedding window", victim.Index)
 	}
 }
 

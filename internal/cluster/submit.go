@@ -52,8 +52,6 @@ func (g *Gateway) forward(ctx context.Context, b *Backend, method, path string, 
 			req.Header.Set(h, v)
 		}
 	}
-	b.inflight.Add(1)
-	defer b.inflight.Add(-1)
 	start := time.Now()
 	resp, err := g.cfg.Client.Do(req)
 	if err != nil {
@@ -114,20 +112,14 @@ func (t *triedSet) snapshot() map[int]bool {
 	return out
 }
 
-// affinityKey is the rendezvous-hash key: (job type, seed). Jobs of
-// one family — same type, same seed lineage — keep landing on the same
-// backend, whose workers' calibration state is warm for them.
-func affinityKey(req httpapi.JobRequest) string {
-	return req.Type + "\xff" + strconv.FormatUint(req.Seed, 10)
-}
-
-// failover runs one submission attempt with backend failover: pick by
-// affinity, forward, and on a connectivity error / 503 / 429 mark the
-// backend and move to the next until every backend was tried. The last
+// failover runs one submission attempt with backend failover: pick the
+// least-loaded backend, forward, and on a connectivity error / 503 /
+// 429 mark the backend and move to the next until every backend was
+// tried. The last
 // shed-style response (429/503) is returned to the client when no
 // backend accepts — the backends' own backpressure, passed through
 // rather than masked.
-func (g *Gateway) failover(ctx context.Context, path string, body []byte, affinity string, hdr http.Header, tried *triedSet) (*backendResponse, *Backend, error) {
+func (g *Gateway) failover(ctx context.Context, path string, body []byte, hdr http.Header, tried *triedSet) (*backendResponse, *Backend, error) {
 	if tried == nil {
 		tried = newTriedSet()
 	}
@@ -137,12 +129,13 @@ func (g *Gateway) failover(ctx context.Context, path string, body []byte, affini
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		b := g.pool.Pick(affinity, tried.snapshot())
+		b := g.pool.Pick(tried.snapshot())
 		if b == nil {
 			break
 		}
 		tried.add(b.Index)
 		res, err := g.forward(ctx, b, http.MethodPost, path, body, hdr)
+		b.release()
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, nil, err
@@ -199,7 +192,7 @@ type raceResult struct {
 // attempt races on a backend the primary has not touched. The first
 // success wins and the loser's context is canceled — its goroutine
 // unwinds into the buffered channel, leaking nothing.
-func (g *Gateway) submitSync(ctx context.Context, path string, body []byte, jobType, affinity string, hdr http.Header) (*backendResponse, *Backend, error) {
+func (g *Gateway) submitSync(ctx context.Context, path string, body []byte, jobType string, hdr http.Header) (*backendResponse, *Backend, error) {
 	g.hedge.earn()
 	tried := newTriedSet()
 	results := make(chan raceResult, 2)
@@ -210,7 +203,7 @@ func (g *Gateway) submitSync(ctx context.Context, path string, body []byte, jobT
 	defer cancelHedge()
 
 	launch := func(c context.Context, hedged bool) {
-		res, b, err := g.failover(c, path, body, affinity, hdr, tried)
+		res, b, err := g.failover(c, path, body, hdr, tried)
 		results <- raceResult{res: res, b: b, hedged: hedged, err: err}
 	}
 	go launch(primCtx, false)
@@ -256,23 +249,15 @@ func (g *Gateway) submitSync(ctx context.Context, path string, body []byte, jobT
 				g.hedge.recordOutcome(out.hedged)
 			}
 			if out.b != nil {
-				out.b.observeLatency(out.latencyOrZero())
-				g.hedge.observe(jobType, out.latencyOrZero())
+				g.hedge.observe(jobType, out.res.latency)
 			}
 			return out.res, out.b, nil
 		}
 	}
 }
 
-func (r raceResult) latencyOrZero() time.Duration {
-	if r.res == nil {
-		return 0
-	}
-	return r.res.latency
-}
-
-// submit is POST /v1/jobs: cache/collapse sync submissions, route with
-// affinity, hedge the tail, fail over on backend loss.
+// submit is POST /v1/jobs: cache/collapse sync submissions, route to
+// the least-loaded backend, hedge the tail, fail over on backend loss.
 func (g *Gateway) submit(w http.ResponseWriter, r *http.Request) {
 	g.requests.Inc()
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
@@ -293,13 +278,12 @@ func (g *Gateway) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	wait := req.Wait || r.URL.Query().Get("wait") == "1"
 	reqID := r.Header.Get("X-Request-Id")
-	affinity := affinityKey(req)
 
 	if !wait {
 		// Async submissions are pollable state on one specific backend:
 		// no cache (the poll must see live status), no hedge (nothing
-		// blocks), just affinity routing with failover.
-		res, b, err := g.failover(r.Context(), "/v1/jobs", body, affinity, r.Header, nil)
+		// blocks), just least-loaded routing with failover.
+		res, b, err := g.failover(r.Context(), "/v1/jobs", body, r.Header, nil)
 		g.finishSubmit(w, res, b, reqID, err)
 		return
 	}
@@ -310,7 +294,7 @@ func (g *Gateway) submit(w http.ResponseWriter, r *http.Request) {
 		key, cacheable = cacheKey(req)
 	}
 	if !cacheable {
-		res, b, err := g.submitSync(r.Context(), path, body, req.Type, affinity, r.Header)
+		res, b, err := g.submitSync(r.Context(), path, body, req.Type, r.Header)
 		g.finishSubmit(w, res, b, reqID, err)
 		return
 	}
@@ -338,13 +322,13 @@ func (g *Gateway) submit(w http.ResponseWriter, r *http.Request) {
 		}
 		// The leader failed; run our own submission instead of
 		// propagating its failure.
-		res, b, err := g.submitSync(r.Context(), path, body, req.Type, affinity, r.Header)
+		res, b, err := g.submitSync(r.Context(), path, body, req.Type, r.Header)
 		g.finishSubmit(w, res, b, reqID, err)
 		return
 	}
 
 	// Leader: submit, publish the outcome to followers, cache success.
-	res, b, err := g.submitSync(r.Context(), path, body, req.Type, affinity, r.Header)
+	res, b, err := g.submitSync(r.Context(), path, body, req.Type, r.Header)
 	var publish []byte
 	if err == nil && res != nil && res.status == http.StatusOK && jobDone(res.body) {
 		publish = res.body

@@ -51,8 +51,9 @@ var (
 
 // RetryPolicy turns the paper's redundancy discussion into a
 // reliability knob: run up to Attempts redundant executions of a job,
-// accept a result once Vote byte-identical copies of it exist, and
-// back off exponentially after errored attempts.
+// accept a result once Vote byte-identical copies of it exist. Retries
+// run back to back: an attempt is a pure function of the rig and its
+// attempt seed, so waiting after an errored one buys nothing.
 type RetryPolicy struct {
 	// Attempts is the maximum number of executions (default 1).
 	Attempts int
@@ -60,10 +61,6 @@ type RetryPolicy struct {
 	// (default 1: first success is accepted). With Attempts 3 and
 	// Vote 2, two agreeing executions settle the job.
 	Vote int
-	// Backoff is the sleep after the first errored attempt, doubling
-	// per consecutive error up to MaxBackoff (defaults 10ms / 1s).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 }
 
 func (p RetryPolicy) normalized() RetryPolicy {
@@ -75,12 +72,6 @@ func (p RetryPolicy) normalized() RetryPolicy {
 	}
 	if p.Vote > p.Attempts {
 		p.Vote = p.Attempts
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = 10 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = time.Second
 	}
 	return p
 }
@@ -204,12 +195,10 @@ const (
 	RetryMismatch = "mismatch" // a successful attempt disagreed with an earlier one
 )
 
-// jobSecondsBuckets spans sub-millisecond gate evaluations up to
-// minute-scale SHA-1 hashes.
-var jobSecondsBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
-}
+// jobSecondsBuckets is the job latency histogram's bucket layout, held
+// once so registering the per-type histogram on each job allocates
+// nothing.
+var jobSecondsBuckets = metrics.JobSecondsBuckets()
 
 // Engine is the concurrent weird-machine job executor.
 type Engine struct {
@@ -770,20 +759,10 @@ func (e *Engine) attempts(ctx context.Context, rig *Rig, j *Job, tally *gateTall
 	var lastErr error
 	var sawPanic bool
 	var cut error // the context error that ended the loop early
-	backoff := policy.Backoff
 
 	for attempt := 0; attempt < policy.Attempts; attempt++ {
 		if cut = ctx.Err(); cut != nil {
 			break
-		}
-		if attempt > 0 && lastErr != nil {
-			if cut = sleepCtx(ctx, backoff); cut != nil {
-				break
-			}
-			backoff *= 2
-			if backoff > policy.MaxBackoff {
-				backoff = policy.MaxBackoff
-			}
 		}
 
 		seed := noise.SubSeed(j.subSeed, uint64(attempt))
@@ -821,8 +800,6 @@ func (e *Engine) attempts(ctx context.Context, rig *Rig, j *Job, tally *gateTall
 			})
 			continue
 		}
-		lastErr = nil
-		backoff = policy.Backoff
 
 		raw, err := json.Marshal(value)
 		if err != nil {
@@ -906,19 +883,4 @@ func (e *Engine) countDisagreements(typeLabel metrics.Label, ballots []string) {
 	e.cfg.Metrics.Counter(MetricDisagreements,
 		"conflicting result candidates beyond the first, per voted job", typeLabel).
 		Add(uint64(len(ballots) - 1))
-}
-
-// sleepCtx sleeps for d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -568,15 +568,17 @@ func runCircuitJob(ctx context.Context, env *Env, params json.RawMessage) (any, 
 	if err != nil {
 		return nil, err
 	}
-	// An unoptimized run reports every source gate, assigns included,
-	// as surviving, and no levels.
-	res := CircuitResult{Circuit: name, Fingerprint: plan.Fingerprint, GatesIn: plan.Stats.GatesIn, GatesOut: plan.Stats.GatesIn}
-	if optimize {
-		res.GatesOut = plan.Stats.GatesOut
-		res.Eliminated = plan.Stats.Eliminated()
-		res.Levels = plan.Stats.Levels
+	// Both plans report what they ran: the unoptimized one its
+	// non-assign gates, nothing eliminated, and its serial depth.
+	res := CircuitResult{
+		Circuit:     name,
+		Fingerprint: plan.Fingerprint,
+		GatesIn:     plan.Stats.GatesIn,
+		GatesOut:    plan.Stats.GatesOut,
+		Eliminated:  plan.Stats.Eliminated(),
+		Levels:      plan.Stats.Levels,
+		Outputs:     outs,
 	}
-	res.Outputs = outs
 	res.Golden = make([][]int, len(inputs))
 	for v, in := range inputs {
 		golden, err := spec.Eval(in)

@@ -230,13 +230,9 @@ type KeptTrace struct {
 	Events []trace.Event `json:"-"`
 }
 
-// latencyBuckets spans sub-millisecond gate evaluations up to
-// minute-scale hashes — the same range the engine's latency histogram
-// covers.
-var latencyBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
-}
+// latencyBuckets are the per-type latency history's bucket edges,
+// shared with the engine's job latency histogram.
+var latencyBuckets = metrics.JobSecondsBuckets()
 
 // Recorder is the flight recorder. All methods are safe for concurrent
 // use: workers Finish captures while HTTP handlers read the index,

@@ -48,6 +48,17 @@ func DefaultWindowBuckets() []float64 {
 	return []float64{0, 20, 40, 80, 120, 160, 200, 260, 340, 500, 800}
 }
 
+// JobSecondsBuckets covers job latency in seconds, from sub-millisecond
+// gate evaluations up to minute-scale SHA-1 hashes. The engine's job
+// latency histogram, the flight recorder's tail estimate and the
+// gateway's hedge delay all bucket on it.
+func JobSecondsBuckets() []float64 {
+	return []float64{
+		0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+		0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
+	}
+}
+
 func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)

@@ -104,3 +104,16 @@ func TestQuantileExtremes(t *testing.T) {
 		prev = v
 	}
 }
+
+// TestJobSecondsBucketsIsFresh: every caller gets its own copy, so no
+// histogram can shift another's bucket edges.
+func TestJobSecondsBucketsIsFresh(t *testing.T) {
+	a := JobSecondsBuckets()
+	if len(a) != 16 || a[0] != 0.001 || a[len(a)-1] != 120 {
+		t.Fatalf("JobSecondsBuckets = %v, want 16 edges from 1ms to 120s", a)
+	}
+	a[0] = 99
+	if b := JobSecondsBuckets(); b[0] != 0.001 {
+		t.Fatalf("mutating one copy changed the next: %v", b)
+	}
+}
