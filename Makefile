@@ -3,7 +3,7 @@ BENCH_OUT ?= BENCH_$(shell date +%Y%m%d-%H%M%S).json
 
 # The CI pipeline is defined once, in ci.sh: `make ci` runs all of it
 # and `make STEP` runs one of its steps alone.
-CI_STEPS := fmt-check vet docs-links staticcheck build race race-shard micro-bench fuzz perfbench serve-smoke slo-smoke cluster-smoke health-smoke bench-reports
+CI_STEPS := fmt-check vet docs-links staticcheck build race race-shard micro-bench fuzz perfbench gates-smoke serve-smoke slo-smoke cluster-smoke health-smoke bench-reports
 
 .PHONY: all test ci $(CI_STEPS) bench bench-report bench-compare clean
 

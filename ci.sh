@@ -10,7 +10,7 @@
 #                        `make STEP` does the same
 set -eu
 
-STEPS="fmt-check vet docs-links staticcheck build race race-shard micro-bench fuzz perfbench serve-smoke slo-smoke cluster-smoke health-smoke bench-reports"
+STEPS="fmt-check vet docs-links staticcheck build race race-shard micro-bench fuzz perfbench gates-smoke serve-smoke slo-smoke cluster-smoke health-smoke bench-reports"
 
 # Binaries the smokes run live in one temporary directory, removed on exit.
 tmpdir="$(mktemp -d)"
@@ -131,6 +131,34 @@ step_fuzz() {
 # it; removing a symbol it imports must fail here, not in a bench run.
 step_perfbench() {
 	(cd perfbench && go vet ./... && go test ./...)
+}
+
+# The gate explorer's wiring to the gate catalogue: -list names ten
+# gates, and each one's -truth table (seed 1, default quiet profile) has
+# one row per input combination, every row's output equal to its
+# (expect ...) value.
+step_gates_smoke() {
+	bins uwm-gates
+	"$tmpdir/uwm-gates" -list >"$tmpdir/gates.list"
+	n="$(wc -l <"$tmpdir/gates.list")"
+	if [ "$n" -ne 10 ]; then
+		echo "uwm-gates -list printed $n gates, want 10"
+		exit 1
+	fi
+	while read -r gate arity _; do
+		"$tmpdir/uwm-gates" -gate "$gate" -truth >"$tmpdir/truth.txt"
+		awk -v gate="$gate" -v arity="$arity" '
+			/\(expect / {
+				rows++
+				got = $0; sub(/^.* = /, "", got); sub(/  \(expect .*$/, "", got)
+				want = $0; sub(/^.*\(expect /, "", want); sub(/\)$/, "", want)
+				if (got != want) { print "uwm-gates " gate ": " $0; bad = 1 }
+			}
+			END {
+				if (rows != 2 ^ arity) { print "uwm-gates " gate ": " rows " truth-table rows, want " 2 ^ arity; bad = 1 }
+				exit bad
+			}' "$tmpdir/truth.txt"
+	done <"$tmpdir/gates.list"
 }
 
 # Boot uwm-serve on an ephemeral port, run the example client under a

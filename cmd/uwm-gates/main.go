@@ -22,7 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"uwm/internal/bexpr"
@@ -32,55 +32,6 @@ import (
 	"uwm/internal/obs"
 	"uwm/internal/trace"
 )
-
-// gateRunner adapts both gate families to one explorer surface.
-type gateRunner struct {
-	name   string
-	arity  int
-	build  func(*core.Machine) (runner, error)
-	bpGate bool
-}
-
-type runner interface {
-	Run(in ...int) ([]int, error)
-	Disassemble() string
-	Golden(in []int) []int
-}
-
-type bpAdapter struct{ g *core.BPGate }
-
-func (a bpAdapter) Run(in ...int) ([]int, error) {
-	v, err := a.g.Run(in...)
-	return []int{v}, err
-}
-func (a bpAdapter) Disassemble() string   { return a.g.Program().Disassemble() }
-func (a bpAdapter) Golden(in []int) []int { return []int{a.g.Golden(in)} }
-
-type tsxAdapter struct{ g *core.TSXGate }
-
-func (a tsxAdapter) Run(in ...int) ([]int, error) { return a.g.Run(in...) }
-func (a tsxAdapter) Disassemble() string          { return a.g.Program().Disassemble() }
-func (a tsxAdapter) Golden(in []int) []int        { return a.g.Golden(in) }
-
-var gates = map[string]gateRunner{
-	"AND":        {arity: 2, bpGate: true, build: func(m *core.Machine) (runner, error) { g, err := core.NewBPAnd(m); return bpAdapter{g}, err }},
-	"OR":         {arity: 2, bpGate: true, build: func(m *core.Machine) (runner, error) { g, err := core.NewBPOr(m); return bpAdapter{g}, err }},
-	"NAND":       {arity: 2, bpGate: true, build: func(m *core.Machine) (runner, error) { g, err := core.NewBPNand(m); return bpAdapter{g}, err }},
-	"AND_AND_OR": {arity: 4, bpGate: true, build: func(m *core.Machine) (runner, error) { g, err := core.NewBPAndAndOr(m); return bpAdapter{g}, err }},
-	"TSX_ASSIGN": {arity: 1, build: func(m *core.Machine) (runner, error) { g, err := core.NewTSXAssign(m); return tsxAdapter{g}, err }},
-	"TSX_AND":    {arity: 2, build: func(m *core.Machine) (runner, error) { g, err := core.NewTSXAnd(m); return tsxAdapter{g}, err }},
-	"TSX_OR":     {arity: 2, build: func(m *core.Machine) (runner, error) { g, err := core.NewTSXOr(m); return tsxAdapter{g}, err }},
-	"TSX_AND_OR": {arity: 2, build: func(m *core.Machine) (runner, error) { g, err := core.NewTSXAndOr(m); return tsxAdapter{g}, err }},
-	"TSX_NOT":    {arity: 1, build: func(m *core.Machine) (runner, error) { g, err := core.NewTSXNot(m); return tsxAdapter{g}, err }},
-	"TSX_XOR":    {arity: 2, build: func(m *core.Machine) (runner, error) { g, err := core.NewTSXXor(m); return tsxAdapter{g}, err }},
-}
-
-// lookupGate resolves a -gate/-op argument case-insensitively.
-func lookupGate(name string) (string, gateRunner, bool) {
-	canonical := strings.ToUpper(name)
-	spec, ok := gates[canonical]
-	return canonical, spec, ok
-}
 
 func main() {
 	os.Exit(run())
@@ -119,13 +70,10 @@ func run() int {
 	}
 
 	if *list {
-		names := make([]string, 0, len(gates))
-		for n := range gates {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Printf("%-12s %d input(s)\n", n, gates[n].arity)
+		cat := core.Catalog()
+		slices.SortFunc(cat, func(a, b core.GateSpec) int { return strings.Compare(a.Name, b.Name) })
+		for _, s := range cat {
+			fmt.Printf("%-12s %d input(s)\n", s.Name, s.Arity)
 		}
 		return 0
 	}
@@ -215,7 +163,8 @@ func run() int {
 	if requested == "" {
 		requested = *opName
 	}
-	name, spec, ok := lookupGate(requested)
+	name := strings.ToUpper(requested)
+	spec, ok := core.LookupGate(name)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "uwm-gates: unknown gate %q (try -list)\n", requested)
 		// A usage error has nothing to report: don't follow it with a
@@ -223,7 +172,7 @@ func run() int {
 		sess.SetOutput(io.Discard)
 		return 2
 	}
-	g, err := spec.build(m)
+	g, err := spec.New(m)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -241,8 +190,10 @@ func run() int {
 	}
 
 	if *disasm {
-		fmt.Print(g.Disassemble())
+		fmt.Print(g.Program().Disassemble())
 	}
+	out, want := make([]int, g.Outputs()), make([]int, g.Outputs())
+	deltas := make([]int64, g.Outputs())
 	if *traceRun {
 		rec := trace.NewRecorder(0)
 		prev := m.CPU().Sink()
@@ -253,11 +204,11 @@ func run() int {
 		} else {
 			m.CPU().SetSink(rec)
 		}
-		in := make([]int, spec.arity)
+		in := make([]int, g.Arity())
 		for j := range in {
 			in[j] = 1
 		}
-		out, err := g.Run(in...)
+		err := g.Activate(in, out, deltas)
 		m.CPU().SetSink(prev)
 		if err != nil {
 			return fail("%v", err)
@@ -278,84 +229,50 @@ func run() int {
 	}
 	if runTruth {
 		fmt.Printf("threshold: %d cycles\n", m.Threshold())
-		for c := 0; c < 1<<spec.arity; c++ {
-			in := make([]int, spec.arity)
-			for j := range in {
-				in[j] = (c >> j) & 1
-			}
-			out, err := g.Run(in...)
-			if err != nil {
+		for _, in := range core.Combinations(g.Arity()) {
+			if err := g.Activate(in, out, deltas); err != nil {
 				return fail("%v", err)
 			}
-			fmt.Printf("%s%v = %v  (expect %v)\n", name, in, out, g.Golden(in))
+			g.Truth(in, want)
+			fmt.Printf("%s%v = %v  (expect %v)\n", name, in, out, want)
 		}
 	}
 	if *sweep > 0 {
-		rng := noise.NewRNG(*seed + 99)
-		correct := 0
-		in := make([]int, spec.arity)
-		for i := 0; i < *sweep; i++ {
-			for j := range in {
-				in[j] = rng.Bit()
-			}
-			out, err := g.Run(in...)
-			if err != nil {
-				return fail("%v", err)
-			}
-			want := g.Golden(in)
-			ok := true
-			for k := range want {
-				if out[k] != want[k] {
-					ok = false
-				}
-			}
-			if ok {
-				correct++
-			}
+		rep, err := core.MeasureGate(g, *sweep, noise.NewRNG(*seed+99))
+		if err != nil {
+			return fail("%v", err)
 		}
 		fmt.Printf("%s: %d/%d correct (%.5f) under %s noise\n",
-			name, correct, *sweep, float64(correct)/float64(*sweep), *noiseName)
+			name, rep.Correct, rep.Operations, rep.Accuracy(), *noiseName)
 	}
 	return 0
 }
 
 // demoRegisters writes and reads back every Table 1 weird register.
 func demoRegisters(m *core.Machine) error {
-	type namedWR struct {
-		name  string
-		build func() (core.WeirdRegister, error)
-	}
-	regs := []namedWR{
-		{"d-cache (DC-WR)", func() (core.WeirdRegister, error) { return core.NewDCWR(m) }},
-		{"i-cache (IC-WR)", func() (core.WeirdRegister, error) { return core.NewICWR(m) }},
-		{"branch predictor (BP-WR)", func() (core.WeirdRegister, error) { return core.NewBPWR(m) }},
-		{"BTB", func() (core.WeirdRegister, error) { return core.NewBTBWR(m) }},
-		{"mul contention", func() (core.WeirdRegister, error) { return core.NewMulWR(m) }},
-		{"ROB contention", func() (core.WeirdRegister, error) { return core.NewROBWR(m) }},
-	}
-	for _, r := range regs {
-		wr, err := r.build()
+	for _, r := range core.Registers() {
+		wr, err := r.New(m)
 		if err != nil {
-			return fmt.Errorf("%s: %w", r.name, err)
+			return fmt.Errorf("%s: %w", r.Name, err)
 		}
 		okAll := true
 		for _, bit := range []int{0, 1, 1, 0} {
 			if err := wr.Write(bit); err != nil {
-				return fmt.Errorf("%s write: %w", r.name, err)
+				return fmt.Errorf("%s write: %w", r.Name, err)
 			}
 			got, raw, err := wr.ReadRaw()
 			if err != nil {
-				return fmt.Errorf("%s read: %w", r.name, err)
+				return fmt.Errorf("%s read: %w", r.Name, err)
 			}
 			if got != bit {
 				okAll = false
 			}
-			fmt.Printf("%-26s wrote %d read %d (latency %d cycles)\n", r.name, bit, got, raw)
+			fmt.Printf("%-26s wrote %d read %d (latency %d cycles)\n", r.Name, bit, got, raw)
 		}
 		if okAll {
-			fmt.Printf("%-26s OK\n\n", r.name)
+			fmt.Printf("%-26s OK\n\n", r.Name)
 		} else {
-			fmt.Printf("%-26s MISREAD\n\n", r.name)
+			fmt.Printf("%-26s MISREAD\n\n", r.Name)
 		}
 	}
 	return nil

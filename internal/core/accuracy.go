@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"uwm/internal/noise"
 )
@@ -40,118 +41,84 @@ func (r AccuracyReport) String() string {
 		r.Gate, r.Correct, r.Operations, r.Accuracy(), r.SpuriousAborts)
 }
 
-// MeasureBPGate runs n activations of a BP-family gate with uniformly
-// random inputs and scores them against the gate's truth table.
-func MeasureBPGate(g *BPGate, n int, rng *noise.RNG) (AccuracyReport, error) {
-	rep := AccuracyReport{Gate: g.Name(), Operations: n}
-	in := make([]int, g.Arity())
-	start := g.m.cpu.TSC()
+// MeasureGate runs n activations of g with uniformly random inputs and
+// scores them against its truth table; an operation is correct only
+// when every output matches (the Table 8 convention for AND-OR). It
+// allocates nothing per activation.
+func MeasureGate(g Gate, n int, rng *noise.RNG) (AccuracyReport, error) {
+	b := g.base()
+	rep := AccuracyReport{Gate: b.name, Operations: n}
+	in, got, want := make([]int, b.arity), make([]int, g.Outputs()), make([]int, g.Outputs())
+	deltas := make([]int64, g.Outputs())
+	start := b.m.cpu.TSC()
+	abortsBefore := b.m.cpu.Stats().SpuriousAborts
 	for i := 0; i < n; i++ {
 		for j := range in {
 			in[j] = rng.Bit()
 		}
-		got, err := g.Run(in...)
-		if err != nil {
+		if err := g.Activate(in, got, deltas); err != nil {
 			return rep, err
 		}
-		if got == g.Golden(in) {
+		g.Truth(in, want)
+		if slices.Equal(got, want) {
 			rep.Correct++
 		}
 	}
-	rep.Cycles = g.m.cpu.TSC() - start
-	ops, correct := g.m.accuracyInstruments(g.Name(), "bp")
+	rep.Cycles = b.m.cpu.TSC() - start
+	rep.SpuriousAborts = int(b.m.cpu.Stats().SpuriousAborts - abortsBefore)
+	ops, correct := b.m.accuracyInstruments(b.name, b.family)
 	ops.Add(uint64(rep.Operations))
 	correct.Add(uint64(rep.Correct))
 	return rep, nil
 }
 
-// MeasureTSXGate runs n activations of a TSX-family gate with uniformly
-// random inputs, scoring all outputs; an operation is correct only when
-// every output matches (the Table 8 convention for AND-OR).
-func MeasureTSXGate(g *TSXGate, n int, rng *noise.RNG) (AccuracyReport, error) {
-	rep := AccuracyReport{Gate: g.Name(), Operations: n}
-	in := make([]int, g.Arity())
-	start := g.m.cpu.TSC()
-	abortsBefore := g.m.cpu.Stats().SpuriousAborts
-	for i := 0; i < n; i++ {
-		for j := range in {
-			in[j] = rng.Bit()
-		}
-		got, err := g.Run(in...)
-		if err != nil {
-			return rep, err
-		}
-		want := g.Golden(in)
-		ok := true
-		for k := range want {
-			if got[k] != want[k] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			rep.Correct++
-		}
-	}
-	rep.Cycles = g.m.cpu.TSC() - start
-	rep.SpuriousAborts = int(g.m.cpu.Stats().SpuriousAborts - abortsBefore)
-	ops, correct := g.m.accuracyInstruments(g.Name(), "tsx")
-	ops.Add(uint64(rep.Operations))
-	correct.Add(uint64(rep.Correct))
-	return rep, nil
-}
-
-// DelaySample is one timed gate activation, keyed by its input vector —
-// the rows of Tables 6 and 7 aggregate these per input combination.
+// DelaySample is one timed gate activation: its input vector and the
+// measured read latency of each output, in cycles.
 type DelaySample struct {
 	Inputs []int
-	Deltas []int64 // measured read latency per output, in cycles
-	Bits   []int
+	Deltas []int64
 }
 
-// CollectTSXDelays runs n activations per input combination of a TSX
-// gate and returns every timed sample, for the delay tables.
-func CollectTSXDelays(g *TSXGate, nPerCombo int) ([]DelaySample, error) {
-	combos := 1 << g.Arity()
-	out := make([]DelaySample, 0, combos*nPerCombo)
-	for c := 0; c < combos; c++ {
-		in := make([]int, g.Arity())
-		for j := range in {
-			in[j] = (c >> j) & 1
+// CollectTimings activates g once per input vector, in order, and
+// returns every timed sample — the raw data behind Tables 6 and 7 and
+// Figures 7 and 8. Samples alias the caller's vectors.
+func CollectTimings(g Gate, inputs [][]int) ([]DelaySample, error) {
+	k := g.Outputs()
+	out := make([]DelaySample, len(inputs))
+	bits, deltas := make([]int, k), make([]int64, len(inputs)*k)
+	for i, in := range inputs {
+		d := deltas[i*k : (i+1)*k : (i+1)*k]
+		if err := g.Activate(in, bits, d); err != nil {
+			return nil, err
 		}
-		for i := 0; i < nPerCombo; i++ {
-			bits, deltas, err := g.RunTimed(in...)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, DelaySample{
-				Inputs: append([]int(nil), in...),
-				Deltas: append([]int64(nil), deltas...),
-				Bits:   append([]int(nil), bits...),
-			})
-		}
+		out[i] = DelaySample{Inputs: in, Deltas: d}
 	}
 	return out, nil
 }
 
-// CollectBPTimings runs n activations of a BP gate with random inputs
-// and returns (expected output, measured latency) pairs — the samples
-// behind the KDE plots of Figures 7 and 8.
-func CollectBPTimings(g *BPGate, n int, rng *noise.RNG) (zeros, ones []int64, err error) {
-	in := make([]int, g.Arity())
-	for i := 0; i < n; i++ {
-		for j := range in {
-			in[j] = rng.Bit()
-		}
-		_, delta, err := g.RunTimed(in...)
-		if err != nil {
-			return nil, nil, err
-		}
-		if g.Golden(in) == 1 {
-			ones = append(ones, delta)
-		} else {
-			zeros = append(zeros, delta)
+// Combinations returns every input vector of the given arity in truth
+// table order: vector c sets input j to bit j of c.
+func Combinations(arity int) [][]int {
+	out := make([][]int, 1<<arity)
+	for c := range out {
+		out[c] = make([]int, arity)
+		for j := range out[c] {
+			out[c][j] = c >> j & 1
 		}
 	}
-	return zeros, ones, nil
+	return out
+}
+
+// RandomInputs draws n input vectors of the given arity from rng, bit
+// by bit in vector order — the draws MeasureGate makes.
+func RandomInputs(rng *noise.RNG, n, arity int) [][]int {
+	flat := make([]int, n*arity)
+	for i := range flat {
+		flat[i] = rng.Bit()
+	}
+	out := make([][]int, n)
+	for i := range out {
+		out[i] = flat[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	return out
 }

@@ -41,6 +41,30 @@ func TestTSXActivationAllocs(t *testing.T) {
 	if bytes := bytesPerRun(400, run); bytes > 64 {
 		t.Errorf("TSX_AND activation: %v B, want at most 64", bytes)
 	}
+	checkGateActivationAllocs(t, g)
+}
+
+// checkGateActivationAllocs asserts that an activation through the Gate
+// interface, into caller-owned slices, allocates nothing.
+func checkGateActivationAllocs(t *testing.T, g Gate) {
+	t.Helper()
+	in, bits, deltas := make([]int, g.Arity()), make([]int, g.Outputs()), make([]int64, g.Outputs())
+	i := 0
+	run := func() {
+		for j := range in {
+			in[j] = i >> j & 1
+		}
+		if err := g.Activate(in, bits, deltas); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	if allocs := testing.AllocsPerRun(400, run); allocs != 0 {
+		t.Errorf("%s Gate.Activate: %v allocs, want 0", g.Name(), allocs)
+	}
+	if bytes := bytesPerRun(400, run); bytes >= 1 {
+		t.Errorf("%s Gate.Activate: %v B, want under 1", g.Name(), bytes)
+	}
 }
 
 // TestBPActivationAllocs guards the untraced BP activation, which
@@ -66,4 +90,5 @@ func TestBPActivationAllocs(t *testing.T) {
 	if bytes := bytesPerRun(400, run); bytes >= 1 {
 		t.Errorf("AND activation: %v B, want under 1", bytes)
 	}
+	checkGateActivationAllocs(t, g)
 }

@@ -71,7 +71,7 @@ func TestCompiledCircuitPrimitives(t *testing.T) {
 	if c.Transactions() != 4 {
 		t.Errorf("transactions = %d", c.Transactions())
 	}
-	for _, in := range combos(2) {
+	for _, in := range Combinations(2) {
 		got, err := c.Run(in...)
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +93,7 @@ func TestCompiledCircuitXor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range combos(2) {
+	for _, in := range Combinations(2) {
 		got, err := c.Run(in...)
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestCircuitFullAdder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range combos(3) {
+	for _, in := range Combinations(3) {
 		got, err := c.Run(in...)
 		if err != nil {
 			t.Fatal(err)

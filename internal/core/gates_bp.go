@@ -5,7 +5,6 @@ import (
 
 	"uwm/internal/isa"
 	"uwm/internal/mem"
-	"uwm/internal/metrics"
 )
 
 // The branch-predictor / instruction-cache gate family (paper §3.2,
@@ -53,44 +52,26 @@ type bpBlockSpec struct {
 // BPGate is a weird gate of the branch-predictor/instruction-cache
 // family.
 type BPGate struct {
-	m         *Machine
-	name      string
-	arity     int
-	prog      *isa.Program
+	gateBase
 	out       mem.Symbol
 	brd       []mem.Symbol
 	bodyLines []mem.Addr
 	blocks    []bpBlockSpec
 	prepCache bool // prep pre-caches the output (eviction gates)
 	truth     func(in []int) int
-	// Per-block and shared entry points, resolved when the gate is
-	// built so activations neither look up labels nor allocate.
+	// Per-block entry points, resolved when the gate is built so
+	// activations neither look up labels nor allocate.
 	trainT, trainNT, touch, flushB []int
-	prep, fire, read               int
-	// span is the pre-built profiling frame name ("gate:AND").
-	span string
-
-	fires   *metrics.Counter
-	readLat *metrics.Histogram
 }
 
-// Name returns the gate's name.
-func (g *BPGate) Name() string { return g.name }
-
-// Arity returns the number of logical inputs.
-func (g *BPGate) Arity() int { return g.arity }
-
-// Program exposes the gate's assembled program, e.g. for disassembly.
-func (g *BPGate) Program() *isa.Program { return g.prog }
-
-// FireUses reports whether the fire section uses the given opcode —
-// the architectural-invisibility check.
-func (g *BPGate) FireUses(op isa.Op) bool {
-	return g.prog.Uses(op, g.fire, g.read)
-}
+// Outputs returns 1: every BP gate has one output line.
+func (g *BPGate) Outputs() int { return 1 }
 
 // Golden returns the gate's reference truth value for the inputs.
 func (g *BPGate) Golden(in []int) int { return g.truth(in) }
+
+// Truth writes the reference truth value into out[0].
+func (g *BPGate) Truth(in, out []int) { out[0] = g.truth(in) }
 
 // Run performs one full activation and returns the output bit.
 func (g *BPGate) Run(in ...int) (int, error) {
@@ -98,12 +79,19 @@ func (g *BPGate) Run(in ...int) (int, error) {
 	return bit, err
 }
 
+// Activate is RunTimed writing into bits[0] and deltas[0].
+func (g *BPGate) Activate(in, bits []int, deltas []int64) error {
+	var err error
+	bits[0], deltas[0], err = g.RunTimed(in...)
+	return err
+}
+
 // RunTimed performs one activation and additionally returns the
 // measured read latency in cycles (the raw data behind the KDE plots of
 // Figures 7 and 8).
 func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
-	if len(in) != g.arity {
-		return 0, 0, fmt.Errorf("core: gate %s wants %d inputs, got %d", g.name, g.arity, len(in))
+	if err := g.checkArity(in); err != nil {
+		return 0, 0, err
 	}
 	gsp := g.m.BeginSpan(g.span)
 
@@ -304,20 +292,13 @@ func buildBPGate(m *Machine, name string, blocks []bpBlockSpec, prepCache bool, 
 	}
 
 	g := &BPGate{
-		m:         m,
-		name:      name,
-		arity:     arity,
-		prog:      prog,
+		gateBase:  newGateBase(m, name, "bp", arity, prog),
 		out:       out,
 		brd:       brd,
 		bodyLines: bodyLines,
 		blocks:    blocks,
 		prepCache: prepCache,
 		truth:     truth,
-		span:      "gate:" + name,
-		prep:      prog.MustEntry("prep"),
-		fire:      prog.MustEntry("fire"),
-		read:      prog.MustEntry("read"),
 	}
 	for i := range blocks {
 		g.trainT = append(g.trainT, prog.MustEntry(fmt.Sprintf("train%d_t", i)))
@@ -325,7 +306,6 @@ func buildBPGate(m *Machine, name string, blocks []bpBlockSpec, prepCache bool, 
 		g.touch = append(g.touch, prog.MustEntry(fmt.Sprintf("touch%d", i)))
 		g.flushB = append(g.flushB, prog.MustEntry(fmt.Sprintf("flushb%d", i)))
 	}
-	g.fires, g.readLat = m.gateInstruments(name, "bp")
 	return g, nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"uwm/internal/isa"
@@ -25,74 +26,62 @@ func TestCalibrationThreshold(t *testing.T) {
 	}
 }
 
-func combos(arity int) [][]int {
-	out := make([][]int, 0, 1<<arity)
-	for c := 0; c < 1<<arity; c++ {
-		in := make([]int, arity)
-		for j := range in {
-			in[j] = (c >> j) & 1
-		}
-		out = append(out, in)
-	}
-	return out
-}
-
-func testBPGateTruth(t *testing.T, build func(*Machine) (*BPGate, error)) {
+// testGateTruth runs the named catalogue gate's truth table on a quiet
+// machine, through the Gate interface, checking every output.
+func testGateTruth(t *testing.T, name string) {
 	t.Helper()
-	m := quiet(t)
-	g, err := build(m)
+	g, err := NewGate(quiet(t), name)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	for _, in := range combos(g.Arity()) {
+	got, want := make([]int, g.Outputs()), make([]int, g.Outputs())
+	deltas := make([]int64, g.Outputs())
+	for _, in := range Combinations(g.Arity()) {
 		// Repeat each combination to exercise persistent predictor and
 		// cache state between activations.
 		for rep := 0; rep < 3; rep++ {
-			got, err := g.Run(in...)
-			if err != nil {
-				t.Fatalf("%s%v run %d: %v", g.Name(), in, rep, err)
+			if err := g.Activate(in, got, deltas); err != nil {
+				t.Fatalf("%s%v run %d: %v", name, in, rep, err)
 			}
-			if want := g.Golden(in); got != want {
-				t.Errorf("%s%v rep %d = %d, want %d", g.Name(), in, rep, got, want)
+			g.Truth(in, want)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s%v rep %d = %v, want %v", name, in, rep, got, want)
 			}
 		}
 	}
 }
 
-func TestBPAndTruthTable(t *testing.T)      { testBPGateTruth(t, NewBPAnd) }
-func TestBPOrTruthTable(t *testing.T)       { testBPGateTruth(t, NewBPOr) }
-func TestBPNandTruthTable(t *testing.T)     { testBPGateTruth(t, NewBPNand) }
-func TestBPAndAndOrTruthTable(t *testing.T) { testBPGateTruth(t, NewBPAndAndOr) }
+func TestBPAndTruthTable(t *testing.T)      { testGateTruth(t, "AND") }
+func TestBPOrTruthTable(t *testing.T)       { testGateTruth(t, "OR") }
+func TestBPNandTruthTable(t *testing.T)     { testGateTruth(t, "NAND") }
+func TestBPAndAndOrTruthTable(t *testing.T) { testGateTruth(t, "AND_AND_OR") }
+func TestTSXAssignTruthTable(t *testing.T)  { testGateTruth(t, "TSX_ASSIGN") }
+func TestTSXAndTruthTable(t *testing.T)     { testGateTruth(t, "TSX_AND") }
+func TestTSXOrTruthTable(t *testing.T)      { testGateTruth(t, "TSX_OR") }
+func TestTSXAndOrTruthTable(t *testing.T)   { testGateTruth(t, "TSX_AND_OR") }
+func TestTSXNotTruthTable(t *testing.T)     { testGateTruth(t, "TSX_NOT") }
+func TestTSXXorTruthTable(t *testing.T)     { testGateTruth(t, "TSX_XOR") }
 
-func testTSXGateTruth(t *testing.T, build func(*Machine) (*TSXGate, error)) {
-	t.Helper()
+// TestCatalog checks every catalogue entry builds a gate whose name and
+// arity match the entry, and that an unknown name builds nothing.
+func TestCatalog(t *testing.T) {
 	m := quiet(t)
-	g, err := build(m)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	for _, in := range combos(g.Arity()) {
-		for rep := 0; rep < 3; rep++ {
-			got, err := g.Run(in...)
-			if err != nil {
-				t.Fatalf("%s%v run %d: %v", g.Name(), in, rep, err)
-			}
-			want := g.Golden(in)
-			for k := range want {
-				if got[k] != want[k] {
-					t.Errorf("%s%v rep %d out[%d] = %d, want %d", g.Name(), in, rep, k, got[k], want[k])
-				}
-			}
+	for _, s := range Catalog() {
+		g, err := s.New(m)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if g.Name() != s.Name || g.Arity() != s.Arity {
+			t.Errorf("catalogue entry %s/%d builds %s/%d", s.Name, s.Arity, g.Name(), g.Arity())
+		}
+		if l, ok := LookupGate(s.Name); !ok || l.Name != s.Name {
+			t.Errorf("LookupGate(%s) = %v, %v", s.Name, l.Name, ok)
 		}
 	}
+	if g, err := NewGate(m, "NOPE"); g != nil || err == nil {
+		t.Errorf("NewGate(NOPE) = %v, %v; want nil gate and an error", g, err)
+	}
 }
-
-func TestTSXAssignTruthTable(t *testing.T) { testTSXGateTruth(t, NewTSXAssign) }
-func TestTSXAndTruthTable(t *testing.T)    { testTSXGateTruth(t, NewTSXAnd) }
-func TestTSXOrTruthTable(t *testing.T)     { testTSXGateTruth(t, NewTSXOr) }
-func TestTSXAndOrTruthTable(t *testing.T)  { testTSXGateTruth(t, NewTSXAndOr) }
-func TestTSXNotTruthTable(t *testing.T)    { testTSXGateTruth(t, NewTSXNot) }
-func TestTSXXorTruthTable(t *testing.T)    { testTSXGateTruth(t, NewTSXXor) }
 
 // TestGatesShareMachine builds every gate on one machine and checks they
 // do not corrupt each other — the precondition for circuits.
@@ -110,7 +99,7 @@ func TestGatesShareMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range combos(2) {
+	for _, in := range Combinations(2) {
 		a, err := and.Run(in...)
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +153,7 @@ func TestNoisyAccuracyBands(t *testing.T) {
 	rng := noise.NewRNG(99)
 
 	and, _ := NewBPAnd(m)
-	rep, err := MeasureBPGate(and, 2000, rng)
+	rep, err := MeasureGate(and, 2000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +162,7 @@ func TestNoisyAccuracyBands(t *testing.T) {
 	}
 
 	txor, _ := NewTSXXor(m)
-	rep2, err := MeasureTSXGate(txor, 2000, rng)
+	rep2, err := MeasureGate(txor, 2000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +171,7 @@ func TestNoisyAccuracyBands(t *testing.T) {
 	}
 
 	tand, _ := NewTSXAnd(m)
-	rep3, err := MeasureTSXGate(tand, 2000, rng)
+	rep3, err := MeasureGate(tand, 2000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"uwm/internal/isa"
 	"uwm/internal/mem"
-	"uwm/internal/metrics"
 )
 
 // The TSX gate family (paper §4, Figure 3). Each gate's fire section is
@@ -36,38 +35,19 @@ import (
 
 // TSXGate is a weird gate of the transactional family.
 type TSXGate struct {
-	m       *Machine
-	name    string
-	arity   int
+	gateBase
 	outputs int
-	prog    *isa.Program
 	ins     []mem.Symbol
 	outs    []mem.Symbol
-	truth   func(in []int) []int
+	truth   func(in, out []int)
 	// setEntries[i][b] is the entry point that writes bit b to input
-	// i; it and prep, fire and read are resolved when the gate is
-	// built, so activations never look up a label.
-	setEntries       [][2]int
-	prep, fire, read int
-	// span is the pre-built profiling frame name ("gate:TSX_AND"), so
-	// activations never concatenate strings.
-	span string
-
-	fires   *metrics.Counter
-	readLat *metrics.Histogram
+	// i, resolved when the gate is built so activations never look up
+	// a label.
+	setEntries [][2]int
 }
-
-// Name returns the gate's name.
-func (g *TSXGate) Name() string { return g.name }
-
-// Arity returns the number of logical inputs.
-func (g *TSXGate) Arity() int { return g.arity }
 
 // Outputs returns the number of logical outputs.
 func (g *TSXGate) Outputs() int { return g.outputs }
-
-// Program exposes the assembled program for disassembly and tests.
-func (g *TSXGate) Program() *isa.Program { return g.prog }
 
 // InputSymbol returns the DC-WR symbol of input i, letting circuits
 // alias one gate's output line to another gate's input.
@@ -77,13 +57,14 @@ func (g *TSXGate) InputSymbol(i int) mem.Symbol { return g.ins[i] }
 func (g *TSXGate) OutputSymbol(i int) mem.Symbol { return g.outs[i] }
 
 // Golden returns the reference truth values for the inputs.
-func (g *TSXGate) Golden(in []int) []int { return g.truth(in) }
-
-// FireUses reports whether the fire section (the weird circuit itself)
-// uses the given opcode.
-func (g *TSXGate) FireUses(op isa.Op) bool {
-	return g.prog.Uses(op, g.fire, g.read)
+func (g *TSXGate) Golden(in []int) []int {
+	out := make([]int, g.outputs)
+	g.truth(in, out)
+	return out
 }
+
+// Truth writes the reference truth values into out.
+func (g *TSXGate) Truth(in, out []int) { g.truth(in, out) }
 
 // WriteInput sets input i's DC-WR to the given bit architecturally
 // (touch or flush), without firing the gate.
@@ -126,13 +107,20 @@ func (g *TSXGate) Fire() error {
 // ReadOutputs performs the transactional timed read of every output and
 // returns the logic values and raw latencies.
 func (g *TSXGate) ReadOutputs() ([]int, []int64, error) {
-	sp := g.m.BeginSpan(SpanRead)
-	if _, err := g.m.run(g.prog, g.read); err != nil {
-		g.m.EndSpan(sp)
+	bits, deltas := make([]int, g.outputs), make([]int64, g.outputs)
+	if err := g.readInto(bits, deltas); err != nil {
 		return nil, nil, err
 	}
-	bits := make([]int, g.outputs)
-	deltas := make([]int64, g.outputs)
+	return bits, deltas, nil
+}
+
+// readInto is ReadOutputs writing into caller-owned slices.
+func (g *TSXGate) readInto(bits []int, deltas []int64) error {
+	sp := g.m.BeginSpan(SpanRead)
+	defer g.m.EndSpan(sp)
+	if _, err := g.m.run(g.prog, g.read); err != nil {
+		return err
+	}
 	for i := 0; i < g.outputs; i++ {
 		lo := isa.Reg(uint8(isa.R10) + uint8(2*i))
 		hi := isa.Reg(uint8(isa.R10) + uint8(2*i+2))
@@ -142,8 +130,7 @@ func (g *TSXGate) ReadOutputs() ([]int, []int64, error) {
 		g.readLat.Observe(float64(d))
 		g.m.emitTimedRead(g.name, i, bits[i], d, g.outs[i].Addr)
 	}
-	g.m.EndSpan(sp)
-	return bits, deltas, nil
+	return nil
 }
 
 // Run performs a complete activation: write inputs, reset outputs,
@@ -156,27 +143,32 @@ func (g *TSXGate) Run(in ...int) ([]int, error) {
 // RunTimed is Run returning the measured read latencies as well — the
 // raw data behind Tables 6 and 7.
 func (g *TSXGate) RunTimed(in ...int) ([]int, []int64, error) {
-	if len(in) != g.arity {
-		return nil, nil, fmt.Errorf("core: gate %s wants %d inputs, got %d", g.name, g.arity, len(in))
+	bits, deltas := make([]int, g.outputs), make([]int64, g.outputs)
+	if err := g.Activate(in, bits, deltas); err != nil {
+		return nil, nil, err
+	}
+	return bits, deltas, nil
+}
+
+// Activate is RunTimed writing into caller-owned slices.
+func (g *TSXGate) Activate(in, bits []int, deltas []int64) error {
+	if err := g.checkArity(in); err != nil {
+		return err
 	}
 	sp := g.m.BeginSpan(g.span)
+	defer g.m.EndSpan(sp)
 	for i, bit := range in {
 		if err := g.WriteInput(i, bit); err != nil {
-			g.m.EndSpan(sp)
-			return nil, nil, err
+			return err
 		}
 	}
 	if err := g.Prep(); err != nil {
-		g.m.EndSpan(sp)
-		return nil, nil, err
+		return err
 	}
 	if err := g.Fire(); err != nil {
-		g.m.EndSpan(sp)
-		return nil, nil, err
+		return err
 	}
-	bits, deltas, err := g.ReadOutputs()
-	g.m.EndSpan(sp)
-	return bits, deltas, err
+	return g.readInto(bits, deltas)
 }
 
 // tsxBuild bundles the builder state shared by the constructors.
@@ -223,11 +215,10 @@ func (t *tsxBuild) emitRead() {
 	t.b.XBegin("read_abort")
 	reg := uint8(isa.R10)
 	t.b.Rdtsc(isa.Reg(reg))
-	for i, out := range t.outs {
+	for _, out := range t.outs {
 		t.b.Load(isa.Reg(reg+1), out, 0)
 		t.b.Rdtsc(isa.Reg(reg + 2))
 		reg += 2
-		_ = i
 	}
 	t.b.XEnd().Halt()
 	t.b.Label("read_abort")
@@ -257,7 +248,7 @@ func (t *tsxBuild) emitFault(handler string) {
 // transient window can only execute code that is already in the
 // instruction cache, so the very first fire of a cold gate would
 // starve its own chain.
-func (t *tsxBuild) finish(name string, arity, outputs int, truth func([]int) []int) (*TSXGate, error) {
+func (t *tsxBuild) finish(name string, arity, outputs int, truth func(in, out []int)) (*TSXGate, error) {
 	prog, err := t.b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("core: building %s: %w", name, err)
@@ -270,12 +261,9 @@ func (t *tsxBuild) finish(name string, arity, outputs int, truth func([]int) []i
 		set[i] = [2]int{prog.MustEntry(fmt.Sprintf("setin%d_0", i)), prog.MustEntry(fmt.Sprintf("setin%d_1", i))}
 	}
 	g := &TSXGate{
-		m: t.m, name: name, arity: arity, outputs: outputs,
-		prog: prog, ins: t.ins, outs: t.outs, truth: truth,
-		setEntries: set, span: "gate:" + name,
-		prep: prog.MustEntry("prep"), fire: prog.MustEntry("fire"), read: prog.MustEntry("read"),
+		gateBase: newGateBase(t.m, name, "tsx", arity, prog),
+		outputs:  outputs, ins: t.ins, outs: t.outs, truth: truth, setEntries: set,
 	}
-	g.fires, g.readLat = t.m.gateInstruments(name, "tsx")
 	for _, entry := range []string{"prep", "fire", "read", "prep"} {
 		if _, err := t.m.run(prog, prog.MustEntry(entry)); err != nil {
 			return nil, fmt.Errorf("core: warming %s/%s: %w", name, entry, err)
@@ -297,7 +285,7 @@ func NewTSXAssign(m *Machine) (*TSXGate, error) {
 		XEnd()
 	t.b.Label("h0").Halt()
 	t.emitRead()
-	return t.finish("TSX_ASSIGN", 1, 1, func(in []int) []int { return []int{in[0]} })
+	return t.finish("TSX_ASSIGN", 1, 1, func(in, out []int) { out[0] = in[0] })
 }
 
 // NewTSXAnd builds the transactional AND: a single dependent chain
@@ -314,7 +302,7 @@ func NewTSXAnd(m *Machine) (*TSXGate, error) {
 		XEnd()
 	t.b.Label("h0").Halt()
 	t.emitRead()
-	return t.finish("TSX_AND", 2, 1, func(in []int) []int { return []int{in[0] & in[1]} })
+	return t.finish("TSX_AND", 2, 1, func(in, out []int) { out[0] = in[0] & in[1] })
 }
 
 // NewTSXOr builds the transactional OR: two independent assign chains
@@ -331,7 +319,7 @@ func NewTSXOr(m *Machine) (*TSXGate, error) {
 		XEnd()
 	t.b.Label("h0").Halt()
 	t.emitRead()
-	return t.finish("TSX_OR", 2, 1, func(in []int) []int { return []int{in[0] | in[1]} })
+	return t.finish("TSX_OR", 2, 1, func(in, out []int) { out[0] = in[0] | in[1] })
 }
 
 // NewTSXAndOr builds the Figure 3 circuit verbatim: one window computes
@@ -357,8 +345,8 @@ func NewTSXAndOr(m *Machine) (*TSXGate, error) {
 		XEnd()
 	t.b.Label("h0").Halt()
 	t.emitRead()
-	return t.finish("TSX_AND_OR", 2, 2, func(in []int) []int {
-		return []int{in[0] & in[1], in[0] | in[1]}
+	return t.finish("TSX_AND_OR", 2, 2, func(in, out []int) {
+		out[0], out[1] = in[0]&in[1], in[0]|in[1]
 	})
 }
 
@@ -386,7 +374,7 @@ func NewTSXNot(m *Machine) (*TSXGate, error) {
 	t.b.XEnd()
 	t.b.Label("h0").Halt()
 	t.emitRead()
-	return t.finish("TSX_NOT", 1, 1, func(in []int) []int { return []int{1 - in[0]} })
+	return t.finish("TSX_NOT", 1, 1, func(in, out []int) { out[0] = 1 - in[0] })
 }
 
 // NewTSXXor builds the §4.1 weird circuit: three transactions chained
@@ -439,5 +427,5 @@ func NewTSXXor(m *Machine) (*TSXGate, error) {
 		XEnd()
 	t.b.Label("h3").Halt()
 	t.emitRead()
-	return t.finish("TSX_XOR", 2, 1, func(in []int) []int { return []int{in[0] ^ in[1]} })
+	return t.finish("TSX_XOR", 2, 1, func(in, out []int) { out[0] = in[0] ^ in[1] })
 }

@@ -141,7 +141,7 @@ func TestManyGatesOneMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range combos(2) {
+	for _, in := range Combinations(2) {
 		got, err := x.Run(in...)
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +188,7 @@ func TestGShareMachineStillComputes(t *testing.T) {
 	}
 	correct := 0
 	total := 0
-	for _, in := range combos(2) {
+	for _, in := range Combinations(2) {
 		for rep := 0; rep < 8; rep++ {
 			got, err := g.Run(in...)
 			if err != nil {

@@ -80,3 +80,39 @@ func TestCovertRepsBound(t *testing.T) {
 		{"a billion", covert(1 << 30), "covert reps 1073741824 exceeds the bound of 64"},
 	})
 }
+
+// TestJobsRejectNonBitInputs: gate and circuit jobs check every explicit
+// input vector, its length and that each value is 0 or 1, before the
+// first activation. A bad value fails the job instead of being scored
+// against a truth table no gate can meet, so neither the health monitor
+// nor the gate-accuracy budget is charged for it.
+func TestJobsRejectNonBitInputs(t *testing.T) {
+	gate := func(name string, in [][]int) JobSpec {
+		return JobSpec{Type: JobTypeGate, Params: rawParams(t, GateParams{Gate: name, Inputs: in})}
+	}
+	circuit := func(in [][]int) JobSpec {
+		return JobSpec{Type: JobTypeCircuit, Params: rawParams(t, CircuitParams{Spec: &circuitSpecJSON, Inputs: in})}
+	}
+	bad := []boundCase{
+		{"bp gate", gate("OR", [][]int{{1, 0}, {5, 2}}), "gate OR input vector 1: value 5 at input 0 is not 0 or 1"},
+		{"tsx gate", gate("TSX_ASSIGN", [][]int{{1}, {-1}}), "gate TSX_ASSIGN input vector 1: value -1 at input 0 is not 0 or 1"},
+		{"circuit", circuit([][]int{{0, 1}, {1, 2}}), "circuit custom input vector 1: value 2 at input 1 is not 0 or 1"},
+		{"gate arity", gate("AND", [][]int{{1, 1}, {1}}), "gate AND wants 2 inputs, got 1"},
+	}
+	e := newTestEngine(t, Config{Workers: 1})
+	reads := e.Health()[0].Snapshot.Reads
+	for _, tc := range bad {
+		snap := waitJob(t, mustSubmit(t, e, tc.spec))
+		if snap.Status != StatusFailed || !strings.Contains(snap.Error, tc.wantErr) {
+			t.Errorf("%s: status %s error %q, want failed with %q", tc.name, snap.Status, snap.Error, tc.wantErr)
+		}
+	}
+	if got := e.Health()[0].Snapshot.Reads; got != reads {
+		t.Errorf("rejected jobs made %d timed reads, want none", got-reads)
+	}
+	runBoundCases(t, []boundCase{
+		{"bp gate bits", gate("OR", [][]int{{1, 0}, {0, 0}}), ""},
+		{"tsx gate bits", gate("TSX_ASSIGN", [][]int{{1}, {0}}), ""},
+		{"circuit bits", circuit([][]int{{0, 1}, {1, 1}}), ""},
+	})
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"uwm/internal/circopt"
@@ -104,7 +105,7 @@ func TestCircuitJobOptimizedMatchesUnoptimized(t *testing.T) {
 		t.Errorf("fingerprints differ: %s vs %s", optimized.Fingerprint, serial.Fingerprint)
 	}
 	for v := range inputs {
-		if !equalInts(optimized.Outputs[v], serial.Outputs[v]) {
+		if !slices.Equal(optimized.Outputs[v], serial.Outputs[v]) {
 			t.Errorf("vector %d: optimized %v != unoptimized %v",
 				v, optimized.Outputs[v], serial.Outputs[v])
 		}

@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -106,9 +107,10 @@ func decodeMessage(text, b64 string, fallback []byte) ([]byte, error) {
 // --- gate jobs ---------------------------------------------------------
 
 // GateParams selects a gate by name and the input vectors to run.
-// Names cover both families: AND, OR, NAND, AND_AND_OR run through the
-// redundant skelly library; TSX_AND, TSX_OR, TSX_XOR, TSX_ASSIGN run
-// the transactional gates directly.
+// Names cover both families: AND, OR, NAND, AND_AND_OR and TSX_AND,
+// TSX_OR, TSX_XOR, TSX_ASSIGN. Each vector is one raw activation of the
+// gate, with no skelly s/k/n redundancy, and must hold the gate's arity
+// of 0/1 values.
 type GateParams struct {
 	Gate string `json:"gate"`
 	// Inputs lists explicit activations, one vector per activation.
@@ -142,57 +144,31 @@ func runGateJob(ctx context.Context, env *Env, params json.RawMessage) (any, err
 		return nil, err
 	}
 
-	// Resolve the gate in either family behind one closure.
-	var arity int
-	var run func(in []int) ([]int, error)
-	var golden func(in []int) []int
-	if g := env.Rig().BPGate(p.Gate); g != nil {
-		arity = g.Arity()
-		run = func(in []int) ([]int, error) {
-			v, err := g.Run(in...)
-			if err != nil {
-				return nil, err
-			}
-			return []int{v}, nil
-		}
-		golden = func(in []int) []int { return []int{g.Golden(in)} }
-	} else if g, ok := env.Rig().TSX[p.Gate]; ok {
-		arity = g.Arity()
-		run = func(in []int) ([]int, error) { return g.Run(in...) }
-		golden = g.Golden
-	} else {
+	g := env.Rig().Gate(p.Gate)
+	if g == nil {
 		return nil, fmt.Errorf("engine: unknown gate %q", p.Gate)
 	}
-
-	inputs := p.Inputs
-	if len(inputs) == 0 {
-		n := p.Random
-		if n <= 0 {
-			n = 16
-		}
-		var err error
-		if inputs, err = randomInputs(env, n, arity); err != nil {
-			return nil, err
-		}
+	inputs, err := jobInputs(env, "gate "+p.Gate, p.Inputs, p.Random, 16, g.Arity())
+	if err != nil {
+		return nil, err
 	}
 
-	res := GateResult{Gate: p.Gate, Outputs: make([][]int, 0, len(inputs)), Golden: make([][]int, 0, len(inputs))}
-	for _, in := range inputs {
+	res := GateResult{Gate: p.Gate, Outputs: make([][]int, len(inputs)), Golden: make([][]int, len(inputs))}
+	k := g.Outputs()
+	outs, golden := make([]int, len(inputs)*k), make([]int, len(inputs)*k)
+	deltas := make([]int64, k)
+	for v, in := range inputs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if len(in) != arity {
-			return nil, fmt.Errorf("engine: gate %s wants %d inputs, got %d", p.Gate, arity, len(in))
-		}
-		out, err := run(in)
-		if err != nil {
+		out, want := outs[v*k:(v+1)*k:(v+1)*k], golden[v*k:(v+1)*k:(v+1)*k]
+		if err := g.Activate(in, out, deltas); err != nil {
 			return nil, err
 		}
-		want := golden(in)
-		res.Outputs = append(res.Outputs, out)
-		res.Golden = append(res.Golden, want)
+		g.Truth(in, want)
+		res.Outputs[v], res.Golden[v] = out, want
 		res.Total++
-		if equalInts(out, want) {
+		if slices.Equal(out, want) {
 			res.Correct++
 		}
 	}
@@ -222,34 +198,30 @@ func runGateJob(ctx context.Context, env *Env, params json.RawMessage) (any, err
 // vector costs a full evaluation.
 const maxRandom = 4096
 
-// randomInputs draws n input vectors of the given arity from the
-// attempt's RNG.
-func randomInputs(env *Env, n, arity int) ([][]int, error) {
-	if n > maxRandom {
-		return nil, fmt.Errorf("engine: random %d exceeds the bound of %d vectors", n, maxRandom)
-	}
-	rng := env.RNG()
-	inputs := make([][]int, n)
-	for i := range inputs {
-		vec := make([]int, arity)
-		for k := range vec {
-			vec[k] = rng.Bit()
+// jobInputs returns a job's input vectors: the explicit ones, each
+// checked to hold arity bits before anything runs, or else random of
+// them (def when random is not positive) drawn from the attempt's RNG.
+func jobInputs(env *Env, what string, inputs [][]int, random, def, arity int) ([][]int, error) {
+	if len(inputs) == 0 {
+		if random <= 0 {
+			random = def
 		}
-		inputs[i] = vec
+		if random > maxRandom {
+			return nil, fmt.Errorf("engine: random %d exceeds the bound of %d vectors", random, maxRandom)
+		}
+		return core.RandomInputs(env.RNG(), random, arity), nil
+	}
+	for v, in := range inputs {
+		if len(in) != arity {
+			return nil, fmt.Errorf("engine: %s wants %d inputs, got %d", what, arity, len(in))
+		}
+		for i, b := range in {
+			if b != 0 && b != 1 {
+				return nil, fmt.Errorf("engine: %s input vector %d: value %d at input %d is not 0 or 1", what, v, b, i)
+			}
+		}
 	}
 	return inputs, nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // --- sha1 jobs ---------------------------------------------------------
@@ -526,20 +498,9 @@ func runCircuitJob(ctx context.Context, env *Env, params json.RawMessage) (any, 
 		return nil, fmt.Errorf("engine: circuit netlist: %w", err)
 	}
 
-	inputs := p.Inputs
-	if len(inputs) == 0 {
-		n := p.Random
-		if n <= 0 {
-			n = 4
-		}
-		if inputs, err = randomInputs(env, n, spec.NumInputs); err != nil {
-			return nil, err
-		}
-	}
-	for _, in := range inputs {
-		if len(in) != spec.NumInputs {
-			return nil, fmt.Errorf("engine: circuit %s wants %d inputs, got %d", name, spec.NumInputs, len(in))
-		}
+	inputs, err := jobInputs(env, "circuit "+name, p.Inputs, p.Random, 4, spec.NumInputs)
+	if err != nil {
+		return nil, err
 	}
 
 	// Netlists run thousands of gate activations; the checkpoint makes

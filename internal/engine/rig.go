@@ -31,14 +31,11 @@ type Rig struct {
 	// machine's health tap, so calibration and timed-read events reach
 	// it whether or not a full trace sink is attached.
 	Health *health.Monitor
-	// Skelly carries the redundant BP-gate library and, through it,
-	// the gates the "gate" job type runs by name.
+	// Skelly carries the redundant BP-gate library the circuit and
+	// SHA-1 job types run on.
 	Skelly *skelly.Skelly
 	// Hasher is the SHA-1 weird hash bound to Skelly.
 	Hasher *sha1wm.Hasher
-	// TSX maps gate names (TSX_AND, TSX_OR, TSX_XOR, TSX_ASSIGN) to
-	// the transactional gate family.
-	TSX map[string]*core.TSXGate
 	// DC is the data-cache weird register backing the covert-channel
 	// job type.
 	DC core.WeirdRegister
@@ -47,10 +44,17 @@ type Rig struct {
 	// event stream lands in the job's private buffer as well as the
 	// shared sink. Nil when the engine runs without a flight recorder.
 	Tap *flightrec.Tap
+
+	gates map[string]core.Gate
 }
 
-// BPGate returns the named branch-predictor-family gate, or nil.
-func (r *Rig) BPGate(name string) *core.BPGate { return r.Skelly.Gate(name) }
+// rigGates are the gates a rig serves by name, in build order: skelly
+// builds the BP four, the rig the TSX four.
+var rigGates = []string{"AND", "OR", "NAND", "AND_AND_OR", "TSX_AND", "TSX_OR", "TSX_XOR", "TSX_ASSIGN"}
+
+// Gate returns the named gate the "gate" job type runs, or nil. The BP
+// gates are the instances Skelly holds.
+func (r *Rig) Gate(name string) core.Gate { return r.gates[name] }
 
 // newRig builds a worker's machine and job resources. Every worker
 // calls it with the same configuration, so all rigs are clones; the
@@ -85,21 +89,23 @@ func newRig(cfg Config, sink trace.Sink, id int) (*Rig, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: building gate library: %w", err)
 	}
-	tsx := make(map[string]*core.TSXGate, 4)
-	for _, build := range []func(*core.Machine) (*core.TSXGate, error){
-		core.NewTSXAnd, core.NewTSXOr, core.NewTSXXor, core.NewTSXAssign,
-	} {
-		g, err := build(m)
-		if err != nil {
-			return nil, fmt.Errorf("engine: building TSX gates: %w", err)
+	gates := make(map[string]core.Gate, len(rigGates))
+	for _, name := range rigGates {
+		if g := sk.Gate(name); g != nil {
+			gates[name] = g
+			continue
 		}
-		tsx[g.Name()] = g
+		g, err := core.NewGate(m, name)
+		if err != nil {
+			return nil, fmt.Errorf("engine: building gate %s: %w", name, err)
+		}
+		gates[name] = g
 	}
 	dc, err := core.NewDCWR(m)
 	if err != nil {
 		return nil, fmt.Errorf("engine: building covert register: %w", err)
 	}
-	return &Rig{ID: id, Machine: m, Health: mon, Skelly: sk, Hasher: sha1wm.New(sk), TSX: tsx, DC: dc, Tap: tap}, nil
+	return &Rig{ID: id, Machine: m, Health: mon, Skelly: sk, Hasher: sha1wm.New(sk), DC: dc, Tap: tap, gates: gates}, nil
 }
 
 // gateTally accumulates per-op gate accuracy across all attempts of

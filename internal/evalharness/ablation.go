@@ -34,10 +34,16 @@ func Ablations(p Params) (*Table, error) {
 		},
 	}
 
+	// probe is one measured gate: its catalogue name, row label and
+	// metric-name segment.
+	type probe struct{ gate, label, metric string }
+	bp := probe{"AND", "AND (bp/icache)", "AND_bp"}
+	tsx := probe{"TSX_AND", "TSX_AND", "TSX_AND"}
+	both := []probe{bp, tsx}
 	type variant struct {
 		name  string
 		opts  func() (core.Options, error)
-		gates string // "tsx", "bp" or "both"
+		gates []probe
 	}
 
 	variants := []variant{
@@ -46,14 +52,14 @@ func Ablations(p Params) (*Table, error) {
 			opts: func() (core.Options, error) {
 				return core.Options{Seed: p.Seed, Noise: noise.Paper(), TrainIterations: 4}, nil
 			},
-			gates: "both",
+			gates: both,
 		},
 		{
 			name: "busy machine (no §6.1 isolation)",
 			opts: func() (core.Options, error) {
 				return core.Options{Seed: p.Seed, Noise: noise.Noisy(), TrainIterations: 4}, nil
 			},
-			gates: "both",
+			gates: both,
 		},
 		{
 			name: "TSX window 8 cycles",
@@ -64,7 +70,7 @@ func Ablations(p Params) (*Table, error) {
 				cfg.TSXWindow = 8
 				return core.Options{Seed: p.Seed, Noise: noise.Paper(), CPU: &cfg, TrainIterations: 4}, nil
 			},
-			gates: "tsx",
+			gates: []probe{tsx},
 		},
 		{
 			name: "TSX window 400 cycles",
@@ -73,7 +79,7 @@ func Ablations(p Params) (*Table, error) {
 				cfg.TSXWindow = 400
 				return core.Options{Seed: p.Seed, Noise: noise.Paper(), CPU: &cfg, TrainIterations: 4}, nil
 			},
-			gates: "tsx",
+			gates: []probe{tsx},
 		},
 		{
 			name: "gshare predictor",
@@ -82,14 +88,14 @@ func Ablations(p Params) (*Table, error) {
 				cfg.UseGShare = true
 				return core.Options{Seed: p.Seed, Noise: noise.Paper(), CPU: &cfg, TrainIterations: 4}, nil
 			},
-			gates: "bp",
+			gates: []probe{bp},
 		},
 		{
 			name: "single-iteration training",
 			opts: func() (core.Options, error) {
 				return core.Options{Seed: p.Seed, Noise: noise.Paper(), TrainIterations: 1}, nil
 			},
-			gates: "bp",
+			gates: []probe{bp},
 		},
 	}
 
@@ -113,30 +119,13 @@ func Ablations(p Params) (*Table, error) {
 			better = benchreport.HigherIsBetter
 		}
 		rng := noise.NewRNG(p.Seed + 77)
-		if v.gates == "bp" || v.gates == "both" {
-			g, err := core.NewBPAnd(m)
+		for _, pr := range v.gates {
+			rep, err := measure(m, pr.gate, ops, rng)
 			if err != nil {
 				return nil, err
 			}
-			rep, err := core.MeasureBPGate(g, ops, rng)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(v.name, "AND (bp/icache)", fmt.Sprintf("%d", ops), fmt.Sprintf("%.5f", rep.Accuracy()))
-			t.AddMetric(benchreport.Metric{Name: v.name + "/AND_bp/accuracy", Unit: "ratio",
-				Better: better, Value: rep.Accuracy()})
-		}
-		if v.gates == "tsx" || v.gates == "both" {
-			g, err := core.NewTSXAnd(m)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := core.MeasureTSXGate(g, ops, rng)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(v.name, "TSX_AND", fmt.Sprintf("%d", ops), fmt.Sprintf("%.5f", rep.Accuracy()))
-			t.AddMetric(benchreport.Metric{Name: v.name + "/TSX_AND/accuracy", Unit: "ratio",
+			t.AddRow(v.name, pr.label, fmt.Sprintf("%d", ops), fmt.Sprintf("%.5f", rep.Accuracy()))
+			t.AddMetric(benchreport.Metric{Name: v.name + "/" + pr.metric + "/accuracy", Unit: "ratio",
 				Better: better, Value: rep.Accuracy()})
 		}
 	}

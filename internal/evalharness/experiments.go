@@ -58,46 +58,26 @@ func table2On(m *core.Machine, p Params) (*Table, error) {
 		},
 	}
 
-	addBP := func(build func(*core.Machine) (*core.BPGate, error)) error {
-		g, err := build(m)
-		if err != nil {
-			return err
-		}
-		rep, err := core.MeasureBPGate(g, p.Table2Ops, rng)
-		if err != nil {
-			return err
-		}
-		appendTable2Row(t, rep, p)
-		return nil
-	}
-	addTSX := func(build func(*core.Machine) (*core.TSXGate, error)) error {
-		g, err := build(m)
-		if err != nil {
-			return err
-		}
-		rep, err := core.MeasureTSXGate(g, p.Table2Ops, rng)
-		if err != nil {
-			return err
-		}
-		appendTable2Row(t, rep, p)
-		return nil
-	}
-
-	for _, b := range []func(*core.Machine) (*core.BPGate, error){
-		core.NewBPAnd, core.NewBPOr, core.NewBPNand, core.NewBPAndAndOr,
+	// Table 2's own build order, which is not a serving worker's.
+	for _, name := range []string{
+		"AND", "OR", "NAND", "AND_AND_OR", "TSX_AND", "TSX_OR", "TSX_ASSIGN", "TSX_XOR",
 	} {
-		if err := addBP(b); err != nil {
+		rep, err := measure(m, name, p.Table2Ops, rng)
+		if err != nil {
 			return nil, err
 		}
-	}
-	for _, b := range []func(*core.Machine) (*core.TSXGate, error){
-		core.NewTSXAnd, core.NewTSXOr, core.NewTSXAssign, core.NewTSXXor,
-	} {
-		if err := addTSX(b); err != nil {
-			return nil, err
-		}
+		appendTable2Row(t, rep, p)
 	}
 	return t, nil
+}
+
+// measure builds the named gate on m and scores n random activations.
+func measure(m *core.Machine, name string, n int, rng *noise.RNG) (core.AccuracyReport, error) {
+	g, err := core.NewGate(m, name)
+	if err != nil {
+		return core.AccuracyReport{}, err
+	}
+	return core.MeasureGate(g, n, rng)
 }
 
 func appendTable2Row(t *Table, rep core.AccuracyReport, p Params) {
@@ -249,18 +229,14 @@ func Table5(p Params) (*Table, error) {
 		Header: []string{"Gate", "Operations", "Correct", "Mean Accuracy"},
 		Notes:  []string{"paper (320,000 ops): AND 0.99998125, OR 0.9999625"},
 	}
-	for _, build := range []func(*core.Machine) (*core.BPGate, error){core.NewBPAnd, core.NewBPOr} {
-		g, err := build(m)
+	for _, name := range []string{"AND", "OR"} {
+		rep, err := measure(m, name, p.Table5Ops, rng)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := core.MeasureBPGate(g, p.Table5Ops, rng)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(g.Name(), fmt.Sprintf("%d", rep.Operations), fmt.Sprintf("%d", rep.Correct),
+		t.AddRow(name, fmt.Sprintf("%d", rep.Operations), fmt.Sprintf("%d", rep.Correct),
 			fmt.Sprintf("%.8f", rep.Accuracy()))
-		t.AddMetric(benchreport.Metric{Name: g.Name() + "/accuracy", Unit: "ratio",
+		t.AddMetric(benchreport.Metric{Name: name + "/accuracy", Unit: "ratio",
 			Better: benchreport.HigherIsBetter, Value: rep.Accuracy()})
 	}
 	return t, nil
@@ -288,34 +264,54 @@ func delayTable(title string, labels []string, samplesPerRow [][]float64, paperN
 	return t
 }
 
-// Table6 reproduces the TSX-AND-OR measurement delay distributions:
-// eight rows, one per (gate output, input combination) pair.
-func Table6(p Params) (*Table, error) {
-	p.normalize()
+// delayRows activates the named gate p.Table6Ops times per input
+// combination on a paper-noise machine and buckets the read latencies
+// by output, then by combination. Aborted reads carry no timing and are
+// dropped.
+func delayRows(p Params, gate string) ([][]float64, error) {
 	m, err := core.NewMachine(p.observe(core.Options{Seed: p.Seed, Noise: noise.Paper()}))
 	if err != nil {
 		return nil, err
 	}
-	g, err := core.NewTSXAndOr(m)
+	g, err := core.NewGate(m, gate)
 	if err != nil {
 		return nil, err
 	}
-	samples, err := core.CollectTSXDelays(g, p.Table6Ops)
+	combos := core.Combinations(g.Arity())
+	inputs := make([][]int, 0, len(combos)*p.Table6Ops)
+	for _, in := range combos {
+		for i := 0; i < p.Table6Ops; i++ {
+			inputs = append(inputs, in)
+		}
+	}
+	samples, err := core.CollectTimings(g, inputs)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]float64, g.Outputs()*len(combos))
+	for i, s := range samples {
+		if readAborted(s.Deltas) {
+			continue
+		}
+		for k, d := range s.Deltas {
+			r := k*len(combos) + i/p.Table6Ops
+			rows[r] = append(rows[r], float64(d))
+		}
+	}
+	return rows, nil
+}
+
+// Table6 reproduces the TSX-AND-OR measurement delay distributions:
+// eight rows, one per (gate output, input combination) pair.
+func Table6(p Params) (*Table, error) {
+	p.normalize()
+	rows, err := delayRows(p, "TSX_AND_OR")
 	if err != nil {
 		return nil, err
 	}
 	labels := []string{
 		"AND (0,0)", "AND (1,0)", "AND (0,1)", "AND (1,1)",
 		"OR (0,0)", "OR (1,0)", "OR (0,1)", "OR (1,1)",
-	}
-	rows := make([][]float64, 8)
-	for _, s := range samples {
-		if readAborted(s.Deltas) {
-			continue
-		}
-		combo := s.Inputs[0] + 2*s.Inputs[1]
-		rows[combo] = append(rows[combo], float64(s.Deltas[0]))     // AND output
-		rows[4+combo] = append(rows[4+combo], float64(s.Deltas[1])) // OR output
 	}
 	return delayTable("Table 6: TSX-AND-OR measurement delay (CPU cycles)", labels, rows,
 		"paper medians: miss rows ≈ 217–224, hit rows ≈ 36; maxima ≈ 5k–21k"), nil
@@ -324,28 +320,11 @@ func Table6(p Params) (*Table, error) {
 // Table7 reproduces the TSX-XOR measurement delay distributions.
 func Table7(p Params) (*Table, error) {
 	p.normalize()
-	m, err := core.NewMachine(p.observe(core.Options{Seed: p.Seed, Noise: noise.Paper()}))
+	rows, err := delayRows(p, "TSX_XOR")
 	if err != nil {
 		return nil, err
 	}
-	g, err := core.NewTSXXor(m)
-	if err != nil {
-		return nil, err
-	}
-	samples, err := core.CollectTSXDelays(g, p.Table6Ops)
-	if err != nil {
-		return nil, err
-	}
-	labels := []string{"0,0", "1,0", "0,1", "1,1"}
-	rows := make([][]float64, 4)
-	for _, s := range samples {
-		if readAborted(s.Deltas) {
-			continue
-		}
-		combo := s.Inputs[0] + 2*s.Inputs[1]
-		rows[combo] = append(rows[combo], float64(s.Deltas[0]))
-	}
-	return delayTable("Table 7: TSX-XOR measurement delay (CPU cycles)", labels, rows,
+	return delayTable("Table 7: TSX-XOR measurement delay (CPU cycles)", []string{"0,0", "1,0", "0,1", "1,1"}, rows,
 		"paper medians: (0,0) and (1,1) ≈ 222 (miss); (0,1) and (1,0) ≈ 36 (hit)"), nil
 }
 
@@ -378,22 +357,16 @@ func table8On(m *core.Machine, p Params, title string) (*Table, error) {
 		Header: []string{"Gate", "Correct Ops", "TSX Aborts", "Total Ops", "Mean Accuracy"},
 		Notes:  []string{"paper (64,000 ops): AND 0.98250, OR 0.96753, AND-OR 0.97775, XOR 0.92592; 7–12 aborts"},
 	}
-	for _, build := range []func(*core.Machine) (*core.TSXGate, error){
-		core.NewTSXAnd, core.NewTSXOr, core.NewTSXAndOr, core.NewTSXXor,
-	} {
-		g, err := build(m)
+	for _, name := range []string{"TSX_AND", "TSX_OR", "TSX_AND_OR", "TSX_XOR"} {
+		rep, err := measure(m, name, p.Table8Ops, rng)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := core.MeasureTSXGate(g, p.Table8Ops, rng)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(g.Name(), fmt.Sprintf("%d", rep.Correct), fmt.Sprintf("%d", rep.SpuriousAborts),
+		t.AddRow(name, fmt.Sprintf("%d", rep.Correct), fmt.Sprintf("%d", rep.SpuriousAborts),
 			fmt.Sprintf("%d", rep.Operations), fmt.Sprintf("%.5f", rep.Accuracy()))
-		t.AddMetric(benchreport.Metric{Name: g.Name() + "/accuracy", Unit: "ratio",
+		t.AddMetric(benchreport.Metric{Name: name + "/accuracy", Unit: "ratio",
 			Better: benchreport.HigherIsBetter, Value: rep.Accuracy()})
-		t.AddMetric(benchreport.Metric{Name: g.Name() + "/spurious_aborts", Unit: "count",
+		t.AddMetric(benchreport.Metric{Name: name + "/spurious_aborts", Unit: "count",
 			Better: benchreport.LowerIsBetter, Value: float64(rep.SpuriousAborts)})
 	}
 	return t, nil
@@ -419,38 +392,37 @@ func FigureKDE(p Params, gate string) (*KDEFigure, error) {
 	if err != nil {
 		return nil, err
 	}
-	var g *core.BPGate
 	var figure string
 	switch gate {
 	case "AND":
-		g, err = core.NewBPAnd(m)
 		figure = "Figure 7: bp/icache AND Gate - Measured Timing KDE"
 	case "OR":
-		g, err = core.NewBPOr(m)
 		figure = "Figure 8: bp/icache OR Gate - Measured Timing KDE"
 	default:
 		return nil, fmt.Errorf("evalharness: unknown KDE gate %q", gate)
 	}
+	g, err := core.NewGate(m, gate)
 	if err != nil {
 		return nil, err
 	}
 	rng := noise.NewRNG(p.Seed + 7)
-	zeros, ones, err := core.CollectBPTimings(g, p.FigureOps, rng)
+	samples, err := core.CollectTimings(g, core.RandomInputs(rng, p.FigureOps, g.Arity()))
 	if err != nil {
 		return nil, err
 	}
-	// Clip the interrupt tail so the KDE shows the logic-level
-	// boundary, as the paper's figures do.
-	clip := func(xs []int64) []float64 {
-		out := make([]float64, 0, len(xs))
-		for _, x := range xs {
-			if x < 600 {
-				out = append(out, float64(x))
+	// Bucket by expected logic level, clipping the interrupt tail so the
+	// KDE shows the logic-level boundary, as the paper's figures do.
+	var c0, c1 []float64
+	want := make([]int, 1)
+	for _, s := range samples {
+		if d := s.Deltas[0]; d < 600 {
+			if g.Truth(s.Inputs, want); want[0] == 1 {
+				c1 = append(c1, float64(d))
+			} else {
+				c0 = append(c0, float64(d))
 			}
 		}
-		return out
 	}
-	c0, c1 := clip(zeros), clip(ones)
 	k0 := stats.KDE(c0, 4, 60)
 	k1 := stats.KDE(c1, 4, 60)
 	text := "== " + figure + " ==\n-- logic 0 (expected slow reads) --\n" +

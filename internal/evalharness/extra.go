@@ -34,42 +34,29 @@ func ExtraChannels(p Params) (*Table, error) {
 		},
 	}
 
-	type wrCase struct {
-		name  string
-		build func() (core.WeirdRegister, error)
-	}
-	cases := []wrCase{
-		{"d-cache (DC-WR)", func() (core.WeirdRegister, error) { return core.NewDCWR(m) }},
-		{"i-cache (IC-WR)", func() (core.WeirdRegister, error) { return core.NewICWR(m) }},
-		{"branch predictor (BP-WR)", func() (core.WeirdRegister, error) { return core.NewBPWR(m) }},
-		{"BTB", func() (core.WeirdRegister, error) { return core.NewBTBWR(m) }},
-		{"mul contention", func() (core.WeirdRegister, error) { return core.NewMulWR(m) }},
-		{"ROB contention", func() (core.WeirdRegister, error) { return core.NewROBWR(m) }},
-	}
-
 	bits := p.Table8Ops / 8
 	if bits < 500 {
 		bits = 500
 	}
 	rng := noise.NewRNG(p.Seed + 21)
-	for _, c := range cases {
-		wr, err := c.build()
+	for _, c := range core.Registers() {
+		wr, err := c.New(m)
 		if err != nil {
-			return nil, fmt.Errorf("evalharness: building %s: %w", c.name, err)
+			return nil, fmt.Errorf("evalharness: building %s: %w", c.Name, err)
 		}
 		rep, err := covert.Measure(m, covert.NewChannel(wr, 1), bits, rng)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(c.name,
+		t.AddRow(c.Name,
 			fmt.Sprintf("%d", rep.Bits),
 			fmt.Sprintf("%d", rep.Errors),
 			fmt.Sprintf("%.5f", rep.ErrorRate()),
 			fmt.Sprintf("%.0f", float64(rep.Cycles)/float64(rep.Bits)),
 			fmt.Sprintf("%.0f", rep.BitsPerSecond(p.ClockHz)))
-		t.AddMetric(benchreport.Metric{Name: c.name + "/error_rate", Unit: "ratio",
+		t.AddMetric(benchreport.Metric{Name: c.Name + "/error_rate", Unit: "ratio",
 			Better: benchreport.LowerIsBetter, Value: rep.ErrorRate()})
-		t.AddMetric(benchreport.Metric{Name: c.name + "/bits_per_sec", Unit: "bit/s",
+		t.AddMetric(benchreport.Metric{Name: c.Name + "/bits_per_sec", Unit: "bit/s",
 			Better: benchreport.HigherIsBetter, Value: rep.BitsPerSecond(p.ClockHz)})
 	}
 	return t, nil

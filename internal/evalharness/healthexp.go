@@ -51,14 +51,14 @@ func GateHealth(p Params) (*Table, error) {
 		}
 		half := p.HealthOps / 2
 		rng := noise.NewRNG(p.Seed + 11)
-		before, err := core.MeasureTSXGate(g, half, rng)
+		before, err := core.MeasureGate(g, half, rng)
 		if err != nil {
 			return nil, err
 		}
 		cfg := m.Noise().Config()
 		cfg.MemLatencyDelta = delta
 		m.Noise().SetConfig(cfg)
-		after, err := core.MeasureTSXGate(g, half, rng)
+		after, err := core.MeasureGate(g, half, rng)
 		if err != nil {
 			return nil, err
 		}
