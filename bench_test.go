@@ -18,6 +18,7 @@ import (
 	"uwm/internal/noise"
 	"uwm/internal/sha1wm"
 	"uwm/internal/skelly"
+	"uwm/internal/trace"
 	"uwm/internal/wmapt"
 )
 
@@ -202,6 +203,45 @@ func BenchmarkGateOp_TSXXor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := g.Run(rng.Bit(), rng.Bit()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGateOp_BPAndTraced is BenchmarkGateOp_BPAnd under a live
+// recorder the size of a flight-recorder capture: every committed and
+// transient instruction becomes an event.
+func BenchmarkGateOp_BPAndTraced(b *testing.B) {
+	m := core.MustNewMachine(core.Options{Seed: 1, TrainIterations: 4, Sink: trace.NewRecorder(4096)})
+	g, err := core.NewBPAnd(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := noise.NewRNG(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Run(rng.Bit(), rng.Bit()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGateOp_TSXXorTraced is BenchmarkGateOp_TSXXor under a live
+// recorder the size of a flight-recorder capture.
+func BenchmarkGateOp_TSXXorTraced(b *testing.B) {
+	m := core.MustNewMachine(core.Options{Seed: 1, Sink: trace.NewRecorder(4096)})
+	g, err := core.NewTSXXor(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := noise.NewRNG(1)
+	in, bits, deltas := make([]int, 2), make([]int, g.Outputs()), make([]int64, g.Outputs())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in[0], in[1] = rng.Bit(), rng.Bit()
+		if err := g.Activate(in, bits, deltas); err != nil {
 			b.Fatal(err)
 		}
 	}

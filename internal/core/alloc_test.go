@@ -3,6 +3,8 @@ package core
 import (
 	"runtime"
 	"testing"
+
+	"uwm/internal/trace"
 )
 
 // bytesPerRun is testing.AllocsPerRun for heap bytes: the bytes one
@@ -91,4 +93,40 @@ func TestBPActivationAllocs(t *testing.T) {
 		t.Errorf("AND activation: %v B, want under 1", bytes)
 	}
 	checkGateActivationAllocs(t, g)
+}
+
+// TestTracedActivationAllocs guards the traced activation path: with a
+// live recorder attached, every instruction's commit and transient
+// execution is recorded, and the disassembly, register names and
+// timed-read texts those events carry are memoized, so after one
+// warm-up activation neither gate family allocates. The ring is smaller
+// than one activation's events, so the recorder stops growing during
+// the warm-up.
+func TestTracedActivationAllocs(t *testing.T) {
+	for _, name := range []string{"AND", "TSX_XOR"} {
+		rec := trace.NewRecorder(64)
+		m := MustNewMachine(Options{Seed: 7, TrainIterations: 4, Sink: rec})
+		g, err := NewGate(m, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, bits, deltas := make([]int, g.Arity()), make([]int, g.Outputs()), make([]int64, g.Outputs())
+		i := 0
+		run := func() {
+			for j := range in {
+				in[j] = i >> j & 1
+			}
+			if err := g.Activate(in, bits, deltas); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		run()
+		if rec.Dropped() == 0 {
+			t.Fatalf("%s: one activation did not fill a %d-event ring", name, len(rec.Events()))
+		}
+		if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+			t.Errorf("traced %s Gate.Activate: %v allocs, want 0", name, allocs)
+		}
+	}
 }

@@ -5,7 +5,9 @@ import (
 	"slices"
 
 	"uwm/internal/isa"
+	"uwm/internal/mem"
 	"uwm/internal/metrics"
+	"uwm/internal/trace"
 )
 
 // Gate is a weird gate of either family: the branch-predictor /
@@ -48,6 +50,9 @@ type gateBase struct {
 	prog             *isa.Program
 	prep, fire, read int
 	span             string
+	// readText memoizes the timed-read event texts, index 2*out+bit,
+	// filled on the first read that is traced or tapped.
+	readText []string
 
 	fires   *metrics.Counter
 	readLat *metrics.Histogram
@@ -76,6 +81,42 @@ func (g *gateBase) Program() *isa.Program { return g.prog }
 func (g *gateBase) FireUses(op isa.Op) bool { return g.prog.Uses(op, g.fire, g.read) }
 
 func (g *gateBase) base() *gateBase { return g }
+
+// emitTimedRead publishes output out's measured read latency on the
+// microarchitectural trace plane, tagged with the gate name, output
+// index and decoded bit so offline analysis (cmd/uwm-trace) can
+// reconstruct per-gate timelines and correlate speculative-window
+// lengths with gate outcomes. It does nothing unless a live sink or a
+// health tap is attached, and the text is formatted once per
+// (output, bit), so traced activations allocate nothing either.
+func (g *gateBase) emitTimedRead(out, bit int, delta int64, addr mem.Addr) {
+	m := g.m
+	s := m.cpu.Sink()
+	live := trace.Enabled(s)
+	if !live && m.healthTap == nil {
+		return
+	}
+	i := 2*out + bit
+	if i >= len(g.readText) {
+		g.readText = append(g.readText, make([]string, i+1-len(g.readText))...)
+	}
+	if g.readText[i] == "" {
+		g.readText[i] = trace.FormatTimedRead(g.name, out, bit)
+	}
+	e := trace.Event{
+		Kind:  trace.KindTimedRead,
+		Cycle: m.cpu.TSC(),
+		Addr:  uint64(addr),
+		Value: uint64(delta),
+		Text:  g.readText[i],
+	}
+	if m.healthTap != nil {
+		m.healthTap.Emit(e)
+	}
+	if live {
+		s.Emit(e)
+	}
+}
 
 // checkArity rejects an input vector of the wrong length.
 func (g *gateBase) checkArity(in []int) error {

@@ -160,7 +160,7 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 	g.fires.Inc()
 	g.readLat.Observe(float64(delta))
 	bit := g.m.ToBit(delta)
-	g.m.emitTimedRead(g.name, 0, bit, delta, g.out.Addr)
+	g.emitTimedRead(0, bit, delta, g.out.Addr)
 	g.m.EndSpan(sp)
 	g.m.EndSpan(gsp)
 	return bit, delta, nil

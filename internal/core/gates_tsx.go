@@ -128,7 +128,7 @@ func (g *TSXGate) readInto(bits []int, deltas []int64) error {
 		deltas[i] = d
 		bits[i] = g.m.ToBit(d)
 		g.readLat.Observe(float64(d))
-		g.m.emitTimedRead(g.name, i, bits[i], d, g.outs[i].Addr)
+		g.emitTimedRead(i, bits[i], d, g.outs[i].Addr)
 	}
 	return nil
 }

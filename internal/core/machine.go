@@ -270,33 +270,6 @@ func (m *Machine) run(prog *isa.Program, entry int) (cpu.Result, error) {
 	return m.cpu.RunAt(prog, entry)
 }
 
-// emitTimedRead publishes a gate's measured read latency on the
-// microarchitectural trace plane, tagged with the gate name, output
-// index and decoded bit so offline analysis (cmd/uwm-trace) can
-// reconstruct per-gate timelines and correlate speculative-window
-// lengths with gate outcomes. The text payload is only assembled when a
-// live sink is attached, keeping untraced activations allocation-free.
-func (m *Machine) emitTimedRead(gate string, out, bit int, delta int64, addr mem.Addr) {
-	s := m.cpu.Sink()
-	live := trace.Enabled(s)
-	if !live && m.healthTap == nil {
-		return
-	}
-	e := trace.Event{
-		Kind:  trace.KindTimedRead,
-		Cycle: m.cpu.TSC(),
-		Addr:  uint64(addr),
-		Value: uint64(delta),
-		Text:  trace.FormatTimedRead(gate, out, bit),
-	}
-	if m.healthTap != nil {
-		m.healthTap.Emit(e)
-	}
-	if live {
-		s.Emit(e)
-	}
-}
-
 // ToBit converts a measured read latency to a logic value: faster than
 // the threshold means the line was cached, i.e. logic 1.
 func (m *Machine) ToBit(delta int64) int {

@@ -119,7 +119,13 @@ type CPU struct {
 	observed bool
 	ns       *noise.Source
 	sink     trace.Sink
-	stats    Stats
+	// traced caches trace.Enabled(sink) for the current RunAt: a sink
+	// changes state only between runs (a flight-recorder tap switches
+	// captures between jobs), so it is read once per run rather than
+	// once per event. Hot emit sites test it before calling record,
+	// so an untraced instruction costs a branch, not a call.
+	traced bool
+	stats  Stats
 	// flushes counts executed clflush instructions, the event the HPC
 	// detector's flush rule rates. It sits outside Stats because the
 	// cache levels' flush counters only see flushes that found their
@@ -252,17 +258,11 @@ func (c *CPU) SetObserved(on bool) { c.observed = on }
 // Observed reports whether a debugger is attached.
 func (c *CPU) Observed() bool { return c.observed }
 
-// tracing reports whether an attached sink would observe an emitted
-// event; emit sites use it to skip expensive event assembly
-// (disassembly, formatting). The nil test is spelled out so that it
-// inlines into the per-instruction loop.
-func (c *CPU) tracing() bool { return c.sink != nil && trace.Enabled(c.sink) }
-
 // record emits an event when a live sink is attached. Architectural
 // events produced inside an open transaction are buffered and only
 // reach the sink if the transaction commits.
 func (c *CPU) record(k trace.Kind, pc, addr mem.Addr, val uint64, text string) {
-	if !c.tracing() {
+	if !c.traced {
 		return
 	}
 	e := trace.Event{Kind: k, Cycle: c.clock, PC: uint64(pc), Addr: uint64(addr), Value: val, Text: text}
@@ -290,6 +290,7 @@ func (c *CPU) Run(prog *isa.Program, entry string) (Result, error) {
 // their entry labels once (prog.Entry) rather than on every run.
 func (c *CPU) RunAt(prog *isa.Program, idx int) (Result, error) {
 	res := Result{StartCycle: c.clock}
+	c.traced = c.sink != nil && trace.Enabled(c.sink)
 	for {
 		if idx < 0 || idx >= len(prog.Code) {
 			return res, fmt.Errorf("cpu: control fell off program at index %d", idx)
@@ -307,8 +308,8 @@ func (c *CPU) RunAt(prog *isa.Program, idx int) (Result, error) {
 			if c.txn != nil {
 				return res, errors.New("cpu: halt inside open transaction")
 			}
-			if c.tracing() {
-				c.record(trace.KindCommit, inst.Addr, 0, 0, inst.String())
+			if c.traced {
+				c.record(trace.KindCommit, inst.Addr, 0, 0, prog.Text(idx))
 			}
 			res.Steps++
 			res.EndCycle = c.clock
@@ -319,9 +320,9 @@ func (c *CPU) RunAt(prog *isa.Program, idx int) (Result, error) {
 		// Record the commit before executing: if this instruction
 		// faults and aborts a transaction, the buffered event dies
 		// with the region, exactly like the retirement that never
-		// happened. (Guarded: disassembly is expensive.)
-		if c.tracing() {
-			c.record(trace.KindCommit, inst.Addr, 0, 0, inst.String())
+		// happened. (Guarded: even memoized, disassembly is a call.)
+		if c.traced {
+			c.record(trace.KindCommit, inst.Addr, 0, 0, prog.Text(idx))
 		}
 		next, err := c.step(prog, idx, inst, &res)
 		if err != nil {
@@ -436,8 +437,8 @@ func (c *CPU) step(prog *isa.Program, idx int, inst *isa.Inst, res *Result) (int
 		c.hier.FlushInst(addr)
 		c.dropInflight(addr.Line())
 		c.flushes++
-		if c.tracing() {
-			c.record(trace.KindCacheFlush, inst.Addr, addr, 0, "clflush.i "+inst.Target)
+		if c.traced {
+			c.record(trace.KindCacheFlush, inst.Addr, addr, 0, prog.Text(idx))
 		}
 		c.clock += cfg.FlushLatency
 
@@ -508,7 +509,7 @@ func (c *CPU) step(prog *isa.Program, idx int, inst *isa.Inst, res *Result) (int
 		}
 		committed := c.txn.events
 		c.txn = nil
-		if c.tracing() {
+		if c.traced {
 			for _, e := range committed {
 				c.sink.Emit(e)
 			}
@@ -597,8 +598,8 @@ func (c *CPU) xbegin(prog *isa.Program, idx int, inst *isa.Inst, res *Result) (i
 	c.txn = t
 	c.stats.TxBegins++
 	c.clock += c.cfg.XBeginLatency
-	if c.tracing() {
-		c.record(trace.KindTxBegin, inst.Addr, 0, 0, "xbegin "+inst.Target)
+	if c.traced {
+		c.record(trace.KindTxBegin, inst.Addr, 0, 0, prog.Text(idx))
 	}
 	if c.observed {
 		// A debugger single-stepping the region is a side effect and
@@ -718,7 +719,7 @@ func (c *CPU) writeReg(r isa.Reg, v uint64, readyAt int64) {
 	c.regs[r] = v
 	c.ready[r] = readyAt
 	c.trackChain(r)
-	if c.tracing() {
+	if c.traced {
 		c.record(trace.KindRegWrite, 0, 0, v, r.String())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"uwm/internal/isa"
 	"uwm/internal/mem"
 	"uwm/internal/noise"
+	"uwm/internal/trace"
 )
 
 // rig bundles a quiet CPU with a layout for test programs.
@@ -618,5 +619,57 @@ func TestTransientCallRet(t *testing.T) {
 	r.mustRun(t, p, "fire") // warmed
 	if !r.cpu.Hierarchy().DataCached(out.Addr) {
 		t.Error("transient call did not reach the subroutine")
+	}
+}
+
+// countingSink is a live recorder that counts its Enabled checks.
+type countingSink struct {
+	*trace.Recorder
+	checks int
+}
+
+func (s *countingSink) Enabled() bool { s.checks++; return true }
+
+// TestTracingCheckedOncePerRun: a run reads its sink's state once, on
+// entry, and the events it emits carry the same texts as a fresh
+// disassembly of the instruction at their PC. (The program flushes
+// only code: a data clflush's event text is plain "clflush".)
+func TestTracingCheckedOncePerRun(t *testing.T) {
+	r := newRig()
+	x := r.layout.AllocLine("x")
+	b := isa.NewBuilder(0x5000)
+	b.Label("main").
+		MovI(isa.R1, 0).
+		ClflushCode("abort").
+		XBegin("abort").
+		Div(isa.R2, isa.R1, isa.R1).
+		Load(isa.R3, x, 0).
+		XEnd()
+	b.AlignLine()
+	b.Label("abort").Halt()
+	p := b.MustBuild()
+	sink := &countingSink{Recorder: trace.NewRecorder(0)}
+	r.cpu.SetSink(sink)
+	for run := 1; run <= 2; run++ {
+		r.mustRun(t, p, "main")
+		if sink.checks != run {
+			t.Fatalf("after %d runs the sink was checked %d times", run, sink.checks)
+		}
+	}
+	want := map[trace.Kind]int{trace.KindCommit: 0, trace.KindSpecExec: 0, trace.KindTxBegin: 0, trace.KindCacheFlush: 0}
+	for _, e := range sink.Events() {
+		if _, ok := want[e.Kind]; !ok {
+			continue
+		}
+		want[e.Kind]++
+		inst := p.Code[(mem.Addr(e.PC)-p.Base)/isa.InstBytes]
+		if e.Text != inst.String() {
+			t.Errorf("%s at %#x: text %q, want %q", e.Kind, e.PC, e.Text, inst.String())
+		}
+	}
+	for k, n := range want {
+		if n == 0 {
+			t.Errorf("no %s event recorded", k)
+		}
 	}
 }

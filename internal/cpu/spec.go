@@ -62,8 +62,8 @@ loop:
 		if sfc > deadline {
 			break // fetch starved: body was not in the instruction cache
 		}
-		if c.tracing() {
-			c.record(trace.KindSpecExec, inst.Addr, 0, 0, inst.String())
+		if c.traced {
+			c.record(trace.KindSpecExec, inst.Addr, 0, 0, prog.Text(idx))
 		}
 		res.SpecInsts++
 		c.stats.SpecInsts++
@@ -254,7 +254,7 @@ loop:
 // MSHR merging like committed accesses.
 func (c *CPU) specAccess(addr mem.Addr, issue int64) int64 {
 	lat := c.memAccess(addr, issue)
-	if c.tracing() {
+	if c.traced {
 		c.record(trace.KindCacheFill, 0, addr, uint64(lat), "transient fill")
 	}
 	return lat

@@ -43,8 +43,20 @@ const (
 	NumRegs = 16
 )
 
+// regNames are the registers' assembly names, so that naming one in a
+// trace event allocates nothing.
+var regNames = [NumRegs]string{
+	"r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7",
+	"r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15",
+}
+
 // String returns the register's assembly name.
-func (r Reg) String() string { return fmt.Sprintf("r%d", uint8(r)) }
+func (r Reg) String() string {
+	if r < NumRegs {
+		return regNames[r]
+	}
+	return fmt.Sprintf("r%d", uint8(r))
+}
 
 // Op is an instruction opcode.
 type Op uint8
@@ -173,6 +185,28 @@ type Program struct {
 	Base   mem.Addr
 	Code   []Inst
 	labels map[string]int
+	// text memoizes Code[i].String() for Text. It is filled lazily, on
+	// the first traced run, so untraced programs never pay for
+	// disassembly. It is not locked: a Program is written only by the
+	// goroutine of the machine that owns it, as is the rest of that
+	// machine's state.
+	text []string
+}
+
+// Text returns the disassembly of instruction idx, Code[idx].String(),
+// formatting it on first use only. Since the text of a CLFL or XBEGIN
+// is its opcode and target, it also serves as the detail of the
+// cache-flush and transaction-begin trace events.
+func (p *Program) Text(idx int) string {
+	if p.text == nil {
+		p.text = make([]string, len(p.Code))
+	}
+	s := p.text[idx]
+	if s == "" {
+		s = p.Code[idx].String()
+		p.text[idx] = s
+	}
+	return s
 }
 
 // Entry returns the instruction index of a label.

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -210,13 +211,50 @@ func TestLabelsCopy(t *testing.T) {
 }
 
 func TestOpAndRegStrings(t *testing.T) {
-	if R7.String() != "r7" {
-		t.Errorf("reg string = %s", R7)
+	for r := Reg(0); r < NumRegs+2; r++ {
+		if got, want := r.String(), fmt.Sprintf("r%d", uint8(r)); got != want {
+			t.Errorf("Reg(%d).String() = %q, want %q", uint8(r), got, want)
+		}
 	}
 	if LOAD.String() != "load" || Op(250).String() == "" {
 		t.Error("op strings wrong")
 	}
 	if !((Inst{Op: BRZ}).IsBranch()) || (Inst{Op: JMP}).IsBranch() {
 		t.Error("IsBranch wrong")
+	}
+}
+
+// TestTextMemo checks that Program.Text is each instruction's
+// disassembly, that nothing is formatted before the first call, and
+// that a memoized text is returned without allocating.
+func TestTextMemo(t *testing.T) {
+	b := NewBuilder(0)
+	x := sym("x", 0x9000)
+	b.Label("main").
+		MovI(R1, 42).
+		Load(R2, x, 8).
+		Clflush(x, 0).
+		ClflushCode("main").
+		XBegin("abort").
+		Mov(R3, R15).
+		XEnd()
+	b.Label("abort").Call("main").Ret().Halt()
+	p := b.MustBuild()
+	if p.text != nil {
+		t.Fatal("Build formatted the program's text eagerly")
+	}
+	for i, inst := range p.Code {
+		if got, want := p.Text(i), inst.String(); got != want {
+			t.Errorf("Text(%d) = %q, want %q", i, got, want)
+		}
+	}
+	if got := p.Text(p.MustEntry("main") + 3); got != "clflush.i main" {
+		t.Errorf("CLFL text = %q", got)
+	}
+	if got := p.Text(4); got != "xbegin abort" {
+		t.Errorf("XBEGIN text = %q", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = p.Text(2) }); allocs != 0 {
+		t.Errorf("memoized Text allocates %v", allocs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"uwm/internal/core"
 	"uwm/internal/cpu"
 	"uwm/internal/noise"
+	"uwm/internal/trace"
 )
 
 func fastSkelly(t *testing.T) *Skelly {
@@ -244,5 +245,39 @@ func TestOnVoteErrorHook(t *testing.T) {
 	c := s.Counters("AND")
 	if int(c.VoteOps-c.VoteCorrect) != fired {
 		t.Errorf("hook fired %d times for %d errors", fired, c.VoteOps-c.VoteCorrect)
+	}
+}
+
+// TestGateOpAllocs guards the redundancy loop at the engine's setting
+// (s=3, k=1, n=1, verified): the median is taken on the library's own
+// sample buffer and the inputs stay on the caller's stack, so a logical
+// operation allocates nothing, untraced or under a live recorder.
+func TestGateOpAllocs(t *testing.T) {
+	for _, sink := range []*trace.Recorder{nil, trace.NewRecorder(64)} {
+		opts := core.Options{Seed: 11, TrainIterations: 4}
+		if sink != nil {
+			opts.Sink = sink
+		}
+		m, err := core.NewMachine(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(m, Config{S: 3, K: 1, N: 1, Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		op := func() {
+			if _, err := s.And(i&1, i>>1&1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.AndAndOr(i&1, i>>1&1, i>>2&1, i>>3&1); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+			t.Errorf("traced=%v: And+AndAndOr allocate %v per run, want 0", sink != nil, allocs)
+		}
 	}
 }
