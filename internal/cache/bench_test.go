@@ -16,6 +16,31 @@ func BenchmarkHierarchyHit(b *testing.B) {
 	}
 }
 
+// BenchmarkHierarchyFetchSameLine measures instruction fetch walking
+// one code line an instruction at a time, the CPU's common case, the
+// way the CPU's fetch loop does it: RepeatFetch first, FetchInst when
+// that declines.
+func BenchmarkHierarchyFetchSameLine(b *testing.B) {
+	h := NewHierarchy(DefaultHierarchyConfig())
+	const line = 0x4000
+	h.FetchInst(line)
+	var cycles int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := line + mem.Addr(i%16)*4
+		if lat, ok := h.RepeatFetch(addr); ok {
+			cycles += lat
+		} else {
+			lat, _ := h.FetchInst(addr)
+			cycles += lat
+		}
+	}
+	if cycles != int64(b.N)*h.Config().L1I.Latency {
+		b.Fatalf("%d fetches took %d cycles, want L1I hits", b.N, cycles)
+	}
+}
+
 // BenchmarkHierarchyMissSweep measures repeated full-hierarchy misses.
 func BenchmarkHierarchyMissSweep(b *testing.B) {
 	h := NewHierarchy(DefaultHierarchyConfig())

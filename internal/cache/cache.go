@@ -149,13 +149,23 @@ type Cache struct {
 	mask  uint64 // Sets-1 when Sets is a power of two
 	pow2  bool
 	lines []mem.Addr
-	// last is the lines index of the most recent Access hit, at way
-	// lastWay of set lastSet. Instruction fetch walks a code line one
-	// instruction at a time, so the next lookup usually wants the same
-	// line, and when lines[last] still holds it the set scan is
-	// skipped. The check is exact: a line sits in at most one way,
-	// and a way that was refilled or flushed no longer matches.
+	// last is the lines index of the way the most recent set scan of
+	// an Access hit found, way lastWay of set lastSet. Instruction
+	// fetch walks a code line one instruction at a time, so the next
+	// lookup usually wants the same line, and when lines[last] still
+	// holds it the set scan is skipped. The check is exact: a line sits
+	// in at most one way, and a way that was refilled or flushed no
+	// longer matches.
 	last, lastSet, lastWay int
+	// mru is lines[last] while the replacement policy's most recent
+	// touch in this cache was of way last, and 0 otherwise. A repeat
+	// hit on that line skips the touch: tree-PLRU's touch is
+	// idempotent, and the way already holds LRU's newest stamp, so
+	// skipping changes no victim choice. Only an Access hit sets it;
+	// every other touch (Insert, a fill) clears it, and so do Flush and
+	// FlushAll. Since nothing else writes a way, a valid mru always
+	// equals lines[last], and a lookup may compare against it alone.
+	mru mem.Addr
 	// Exactly one policy is non-nil; the cache calls it directly.
 	plru  *TreePLRU
 	lru   *LRU
@@ -218,7 +228,9 @@ func wayOf(set []mem.Addr, v mem.Addr) int {
 }
 
 // touch records a use of way w of set s with the replacement policy.
+// It clears mru; an Access hit sets it again.
 func (c *Cache) touch(s, w int) {
+	c.mru = 0
 	if c.plru != nil {
 		c.plru.Touch(s, w)
 	} else {
@@ -239,7 +251,10 @@ func (c *Cache) Contains(addr mem.Addr) bool {
 func (c *Cache) Access(addr mem.Addr) bool {
 	tag := addr.Line() | lineValid
 	if c.lines[c.last] == tag {
-		c.touch(c.lastSet, c.lastWay)
+		if c.mru != tag {
+			c.touch(c.lastSet, c.lastWay)
+			c.mru = tag
+		}
 		c.stats.Hits++
 		return true
 	}
@@ -247,6 +262,7 @@ func (c *Cache) Access(addr mem.Addr) bool {
 	if w := wayOf(set, tag); w >= 0 {
 		c.last, c.lastSet, c.lastWay = s*c.ways+w, s, w
 		c.touch(s, w)
+		c.mru = tag
 		c.stats.Hits++
 		return true
 	}
@@ -258,12 +274,19 @@ func (c *Cache) Access(addr mem.Addr) bool {
 // full. It returns the evicted line address, if any.
 func (c *Cache) Insert(addr mem.Addr) (evicted mem.Addr, didEvict bool) {
 	s, set := c.set(addr)
-	tag := addr.Line() | lineValid
 	// Already present: just touch.
-	if w := wayOf(set, tag); w >= 0 {
+	if w := wayOf(set, addr.Line()|lineValid); w >= 0 {
 		c.touch(s, w)
 		return 0, false
 	}
+	return c.fill(addr)
+}
+
+// fill is Insert for a line known to be absent, as it is right after
+// an Access of it missed: it skips Insert's presence scan.
+func (c *Cache) fill(addr mem.Addr) (evicted mem.Addr, didEvict bool) {
+	s, set := c.set(addr)
+	tag := addr.Line() | lineValid
 	// Free way?
 	if w := wayOf(set, 0); w >= 0 {
 		set[w] = tag
@@ -289,6 +312,7 @@ func (c *Cache) Flush(addr mem.Addr) bool {
 	_, set := c.set(addr)
 	if w := wayOf(set, addr.Line()|lineValid); w >= 0 {
 		set[w] = 0
+		c.mru = 0
 		c.stats.Flushes++
 		return true
 	}
@@ -298,6 +322,7 @@ func (c *Cache) Flush(addr mem.Addr) bool {
 // FlushAll empties the cache.
 func (c *Cache) FlushAll() {
 	clear(c.lines)
+	c.mru = 0
 	if c.plru != nil {
 		c.plru.Reset()
 	} else {

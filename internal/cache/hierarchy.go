@@ -91,11 +91,11 @@ func (h *Hierarchy) LoadData(addr mem.Addr) (int64, Level) {
 		return h.cfg.L1D.Latency, LevelL1
 	}
 	if h.l2.Access(addr) {
-		h.fillL1D(addr)
+		h.l1d.fill(addr)
 		return h.cfg.L1D.Latency + h.cfg.L2.Latency, LevelL2
 	}
 	h.fillL2(addr)
-	h.fillL1D(addr)
+	h.l1d.fill(addr)
 	return h.cfg.L1D.Latency + h.cfg.L2.Latency + h.cfg.MemLatency, LevelMem
 }
 
@@ -112,29 +112,38 @@ func (h *Hierarchy) FetchInst(addr mem.Addr) (int64, Level) {
 		return h.cfg.L1I.Latency, LevelL1
 	}
 	if h.l2.Access(addr) {
-		h.l1i.Insert(addr)
+		h.l1i.fill(addr)
 		return h.cfg.L1I.Latency + h.cfg.L2.Latency, LevelL2
 	}
 	h.fillL2(addr)
-	h.l1i.Insert(addr)
+	h.l1i.fill(addr)
 	return h.cfg.L1I.Latency + h.cfg.L2.Latency + h.cfg.MemLatency, LevelMem
 }
 
-// fillL2 inserts a line into L2 and, because the hierarchy is inclusive,
-// back-invalidates any line the insertion evicted from both L1s. The
-// eviction-set weird gates (NOT/NAND) depend on this: filling a victim's
-// L2 set pushes the victim all the way out of the hierarchy.
+// RepeatFetch is FetchInst's fast path for a fetch from the L1I line
+// the previous fetch hit, when that hit was the cache's latest
+// replacement-policy touch (Cache.mru): the lookup is then a hit that
+// needs neither a set scan nor a touch. It counts the hit and returns
+// the L1I latency, or reports false and leaves the fetch to FetchInst.
+// It is small enough to inline into the CPU's fetch loop.
+func (h *Hierarchy) RepeatFetch(addr mem.Addr) (int64, bool) {
+	if c := h.l1i; c.mru == addr.Line()|lineValid {
+		c.stats.Hits++
+		return h.cfg.L1I.Latency, true
+	}
+	return 0, false
+}
+
+// fillL2 fills a line that just missed in L2 and, because the hierarchy
+// is inclusive, back-invalidates any line the fill evicted from both
+// L1s. The eviction-set weird gates (NOT/NAND) depend on this: filling
+// a victim's L2 set pushes the victim all the way out of the hierarchy.
+// (An L1 fill needs no back-invalidate, since L2 is the superset.)
 func (h *Hierarchy) fillL2(addr mem.Addr) {
-	if victim, evicted := h.l2.Insert(addr); evicted {
+	if victim, evicted := h.l2.fill(addr); evicted {
 		h.l1d.Flush(victim)
 		h.l1i.Flush(victim)
 	}
-}
-
-// fillL1D inserts a line into L1D, maintaining inclusion (an L1D
-// eviction needs no back-invalidate since L2 is the superset).
-func (h *Hierarchy) fillL1D(addr mem.Addr) {
-	h.l1d.Insert(addr)
 }
 
 // FlushData removes addr's line from every level, the semantics of
