@@ -59,18 +59,36 @@ func decayTable(halfLife float64) []float64 {
 // it. Callers decay on every fetched instruction, so the factor comes
 // from table (decayTable(halfLife)): table[dt] is the very Exp2 value
 // the fallback computes, which keeps the product bit-identical. Gaps
-// past the table's end fall back to math.Exp2.
+// past the table's end fall back to math.Exp2. Decay is applied per
+// update, never batched: p·t[a]·t[b] is not p·t[a+b] in floating point.
 func decayPressure(p float64, stamp, now int64, halfLife float64, table []float64) float64 {
-	if p == 0 || halfLife <= 0 || now <= stamp {
+	if q, ok := tableDecay(p, now-stamp, table); ok {
+		return q
+	}
+	return decaySlow(p, now-stamp, halfLife)
+}
+
+// tableDecay is decayPressure's table path, small enough to inline into
+// the per-instruction callers: it reports false for every case the
+// table does not serve. A table exists only for a positive half-life,
+// p ≥ 0.25 is false for NaN, and a gap of 0 multiplies by table[0] = 1,
+// which leaves p as decaySlow does.
+func tableDecay(p float64, dt int64, table []float64) (float64, bool) {
+	if p >= 0.25 && uint64(dt) < uint64(len(table)) {
+		return p * table[dt], true
+	}
+	return p, false
+}
+
+// decaySlow is decayPressure's complete rule over the gap dt.
+func decaySlow(p float64, dt int64, halfLife float64) float64 {
+	if p == 0 || halfLife <= 0 || dt <= 0 {
 		return p
 	}
 	if p < 0.25 {
 		return 0
 	}
-	if dt := now - stamp; dt < int64(len(table)) {
-		return p * table[dt]
-	}
-	return p * math.Exp2(-float64(now-stamp)/halfLife)
+	return p * math.Exp2(-float64(dt)/halfLife)
 }
 
 // mulLatency returns the current multiply latency, including the
@@ -97,9 +115,17 @@ func (c *CPU) MulPressure() float64 {
 
 // trackChain updates ROB pressure: a destination register that feeds the
 // immediately following instruction extends a dependency chain, filling
-// the reorder buffer with waiting entries.
+// the reorder buffer with waiting entries. Zero pressure decays to
+// itself from any stamp, so it is not decayed; the stamp still moves,
+// as the pressure may rise from zero here.
 func (c *CPU) trackChain(dst isa.Reg) {
-	c.robPressure = decayPressure(c.robPressure, c.robStamp, c.clock, c.cfg.ROBPressureHalfLife, c.robDecay)
+	if p := c.robPressure; p != 0 {
+		q, ok := tableDecay(p, c.clock-c.robStamp, c.robDecay)
+		if !ok {
+			q = decaySlow(p, c.clock-c.robStamp, c.cfg.ROBPressureHalfLife)
+		}
+		c.robPressure = q
+	}
 	c.robStamp = c.clock
 	if c.hasLastDst && c.lastDst == dst {
 		c.robPressure++
@@ -108,12 +134,27 @@ func (c *CPU) trackChain(dst isa.Reg) {
 	c.hasLastDst = true
 }
 
-// robStall charges the front end proportionally to ROB pressure.
+// robStall charges the front end proportionally to ROB pressure. It runs
+// for every fetched instruction and inlines: zero pressure, the usual
+// case, decays to zero and stalls nothing (for a finite
+// ROBStallFactor), and the stamp it would move is read again only after
+// trackChain, which sets it, has raised the pressure.
 func (c *CPU) robStall() {
-	c.robPressure = decayPressure(c.robPressure, c.robStamp, c.clock, c.cfg.ROBPressureHalfLife, c.robDecay)
-	c.robStamp = c.clock
+	if c.robPressure != 0 {
+		c.stallROB()
+	}
+}
+
+// stallROB is robStall for non-zero pressure: decayPressure with its
+// table path inlined.
+func (c *CPU) stallROB() {
+	p, ok := tableDecay(c.robPressure, c.clock-c.robStamp, c.robDecay)
+	if !ok {
+		p = decaySlow(c.robPressure, c.clock-c.robStamp, c.cfg.ROBPressureHalfLife)
+	}
+	c.robPressure, c.robStamp = p, c.clock
 	if c.cfg.ROBStallFactor > 0 {
-		c.clock += int64(c.robPressure * c.cfg.ROBStallFactor)
+		c.clock += int64(p * c.cfg.ROBStallFactor)
 	}
 }
 

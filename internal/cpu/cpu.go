@@ -27,7 +27,8 @@ const neverReady = math.MaxInt64 / 4
 
 // Result reports one Run call's outcome and counters.
 type Result struct {
-	// Entry is the label Run started at; RunAt leaves it empty.
+	// Entry is the label Run started at; RunAt and RunInto leave it
+	// empty.
 	Entry          string
 	Steps          int   // committed instructions
 	StartCycle     int64 // TSC at entry
@@ -119,7 +120,7 @@ type CPU struct {
 	observed bool
 	ns       *noise.Source
 	sink     trace.Sink
-	// traced caches trace.Enabled(sink) for the current RunAt: a sink
+	// traced caches trace.Enabled(sink) for the current run: a sink
 	// changes state only between runs (a flight-recorder tap switches
 	// captures between jobs), so it is read once per run rather than
 	// once per event. Hot emit sites test it before calling record,
@@ -289,24 +290,38 @@ func (c *CPU) Run(prog *isa.Program, entry string) (Result, error) {
 // RunAt is Run from instruction index idx, for callers that resolved
 // their entry labels once (prog.Entry) rather than on every run.
 func (c *CPU) RunAt(prog *isa.Program, idx int) (Result, error) {
-	res := Result{StartCycle: c.clock}
+	var res Result
+	err := c.RunInto(prog, idx, &res)
+	return res, err
+}
+
+// RunInto is RunAt writing the run's counters into res, which it resets
+// first: callers that run many short programs and read few counters
+// keep one Result rather than copy one out of every run.
+func (c *CPU) RunInto(prog *isa.Program, idx int, res *Result) error {
+	*res = Result{StartCycle: c.clock}
 	c.traced = c.sink != nil && trace.Enabled(c.sink)
 	for {
 		if idx < 0 || idx >= len(prog.Code) {
-			return res, fmt.Errorf("cpu: control fell off program at index %d", idx)
+			return fmt.Errorf("cpu: control fell off program at index %d", idx)
 		}
 		if res.Steps >= c.cfg.MaxSteps {
-			return res, ErrRunaway
+			return ErrRunaway
 		}
 		inst := &prog.Code[idx]
 
-		// Instruction fetch.
-		c.clock += c.fetchLatency(inst.Addr)
+		// Instruction fetch. Most fetches repeat the line the last one
+		// hit, which RepeatFetch serves without a call.
+		if lat, ok := c.hier.RepeatFetch(inst.Addr); ok {
+			c.clock += lat
+		} else {
+			c.clock += c.fetchLatency(inst.Addr)
+		}
 		c.robStall()
 
 		if inst.Op == isa.HALT {
 			if c.txn != nil {
-				return res, errors.New("cpu: halt inside open transaction")
+				return errors.New("cpu: halt inside open transaction")
 			}
 			if c.traced {
 				c.record(trace.KindCommit, inst.Addr, 0, 0, prog.Text(idx))
@@ -314,7 +329,7 @@ func (c *CPU) RunAt(prog *isa.Program, idx int) (Result, error) {
 			res.Steps++
 			res.EndCycle = c.clock
 			c.stats.Committed += uint64(res.Steps)
-			return res, nil
+			return nil
 		}
 
 		// Record the commit before executing: if this instruction
@@ -324,23 +339,30 @@ func (c *CPU) RunAt(prog *isa.Program, idx int) (Result, error) {
 		if c.traced {
 			c.record(trace.KindCommit, inst.Addr, 0, 0, prog.Text(idx))
 		}
-		next, err := c.step(prog, idx, inst, &res)
+		if inst.Op == isa.NOP {
+			// NOPs never reach step: gate programs pad every aligned
+			// block and settle every timed read with runs of them, so
+			// they commit here without a call.
+			c.clock++
+			res.Steps++
+			idx++
+			continue
+		}
+		next, err := c.step(prog, idx, inst, res)
 		if err != nil {
 			res.EndCycle = c.clock
-			return res, err
+			return err
 		}
 		res.Steps++
 		idx = next
 	}
 }
 
-// step commits one instruction and returns the next instruction index.
+// step commits one instruction other than NOP and HALT, which RunInto
+// commits itself, and returns the next instruction index.
 func (c *CPU) step(prog *isa.Program, idx int, inst *isa.Inst, res *Result) (int, error) {
 	cfg := &c.cfg
 	switch inst.Op {
-	case isa.NOP:
-		c.clock++
-
 	case isa.MOVI:
 		c.writeReg(inst.Dst, uint64(inst.Imm), c.clock+cfg.ALULatency)
 		c.clock++

@@ -58,7 +58,11 @@ loop:
 		count++
 
 		// Transient fetch fills the I-cache like any other fetch.
-		sfc += c.fetchLatency(inst.Addr)
+		if lat, ok := c.hier.RepeatFetch(inst.Addr); ok {
+			sfc += lat
+		} else {
+			sfc += c.fetchLatency(inst.Addr)
+		}
 		if sfc > deadline {
 			break // fetch starved: body was not in the instruction cache
 		}
