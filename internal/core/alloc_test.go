@@ -22,8 +22,10 @@ func bytesPerRun(runs int, f func()) float64 {
 }
 
 // TestTSXActivationAllocs guards the untraced TSX activation: the
-// transaction record is reused across regions, so only the returned
-// bit and latency slices are allocated.
+// transaction record is reused across regions, so Run allocates only
+// the bits it returns (its latencies go to gate-owned scratch),
+// RunTimed the bits and latencies it returns, and Activate, writing
+// into caller-owned slices, nothing.
 func TestTSXActivationAllocs(t *testing.T) {
 	m := MustNewMachine(Options{Seed: 7})
 	g, err := NewTSXAnd(m)
@@ -37,11 +39,20 @@ func TestTSXActivationAllocs(t *testing.T) {
 		}
 		i++
 	}
-	if allocs := testing.AllocsPerRun(400, run); allocs > 3 {
-		t.Errorf("TSX_AND activation: %v allocs, want at most 3", allocs)
+	runTimed := func() {
+		if _, _, err := g.RunTimed(i&1, i>>1&1); err != nil {
+			t.Fatal(err)
+		}
+		i++
 	}
-	if bytes := bytesPerRun(400, run); bytes > 64 {
-		t.Errorf("TSX_AND activation: %v B, want at most 64", bytes)
+	if allocs := testing.AllocsPerRun(400, run); allocs != 1 {
+		t.Errorf("TSX_AND Run: %v allocs, want 1", allocs)
+	}
+	if bytes := bytesPerRun(400, run); bytes > 32 {
+		t.Errorf("TSX_AND Run: %v B, want at most 32", bytes)
+	}
+	if allocs := testing.AllocsPerRun(400, runTimed); allocs != 2 {
+		t.Errorf("TSX_AND RunTimed: %v allocs, want 2", allocs)
 	}
 	checkGateActivationAllocs(t, g)
 }

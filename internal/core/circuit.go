@@ -428,7 +428,7 @@ func CompileCircuit(m *Machine, spec *CircuitSpec) (*Circuit, error) {
 	}
 	warm = append(warm, "prep")
 	for _, entry := range warm {
-		if _, err := m.run(prog, prog.MustEntry(entry)); err != nil {
+		if err := m.run(prog, prog.MustEntry(entry)); err != nil {
 			return nil, fmt.Errorf("core: warming circuit/%s: %w", entry, err)
 		}
 	}
@@ -451,11 +451,11 @@ func (c *Circuit) Run(inputs ...int) ([]int, error) {
 		return nil, fmt.Errorf("core: circuit wants %d inputs, got %d", c.spec.NumInputs, len(inputs))
 	}
 	for i, bit := range inputs {
-		if _, err := c.m.run(c.prog, c.setEntries[i][bit&1]); err != nil {
+		if err := c.m.run(c.prog, c.setEntries[i][bit&1]); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := c.m.run(c.prog, c.prep); err != nil {
+	if err := c.m.run(c.prog, c.prep); err != nil {
 		return nil, err
 	}
 	for i := 0; i < c.spec.NumInputs; i++ {
@@ -463,12 +463,12 @@ func (c *Circuit) Run(inputs ...int) ([]int, error) {
 			c.m.perturbData(cp)
 		}
 	}
-	if _, err := c.m.run(c.prog, c.fire); err != nil {
+	if err := c.m.run(c.prog, c.fire); err != nil {
 		return nil, err
 	}
 	out := make([]int, len(c.spec.Outputs))
 	for k := range c.spec.Outputs {
-		if _, err := c.m.run(c.prog, c.readEntries[k]); err != nil {
+		if err := c.m.run(c.prog, c.readEntries[k]); err != nil {
 			return nil, err
 		}
 		out[k] = c.m.ToBit(c.m.readDelta())

@@ -107,7 +107,7 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 			entry = g.trainT[blk]
 		}
 		for i := 0; i < g.m.TrainIterations(); i++ {
-			if _, err := g.m.run(g.prog, entry); err != nil {
+			if err := g.m.run(g.prog, entry); err != nil {
 				g.m.EndSpan(gsp)
 				return 0, 0, err
 			}
@@ -122,7 +122,7 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 		if spec.icIn != noInput && in[spec.icIn] == 0 {
 			entry = g.flushB[blk]
 		}
-		if _, err := g.m.run(g.prog, entry); err != nil {
+		if err := g.m.run(g.prog, entry); err != nil {
 			g.m.EndSpan(gsp)
 			return 0, 0, err
 		}
@@ -131,7 +131,7 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 
 	// Reset outputs and the branch-condition lines.
 	sp = g.m.BeginSpan(SpanPrep)
-	if _, err := g.m.run(g.prog, g.prep); err != nil {
+	if err := g.m.run(g.prog, g.prep); err != nil {
 		g.m.EndSpan(gsp)
 		return 0, 0, err
 	}
@@ -144,7 +144,7 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 	}
 	g.m.perturbData(g.out)
 
-	if _, err := g.m.run(g.prog, g.fire); err != nil {
+	if err := g.m.run(g.prog, g.fire); err != nil {
 		g.m.EndSpan(gsp)
 		return 0, 0, err
 	}
@@ -152,7 +152,7 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 	g.m.EndSpan(sp)
 
 	sp = g.m.BeginSpan(SpanRead)
-	if _, err := g.m.run(g.prog, g.read); err != nil {
+	if err := g.m.run(g.prog, g.read); err != nil {
 		g.m.EndSpan(gsp)
 		return 0, 0, err
 	}

@@ -44,6 +44,9 @@ type TSXGate struct {
 	// i, resolved when the gate is built so activations never look up
 	// a label.
 	setEntries [][2]int
+	// deltas receives the read latencies of Run, which returns only
+	// the bits.
+	deltas []int64
 }
 
 // Outputs returns the number of logical outputs.
@@ -70,7 +73,7 @@ func (g *TSXGate) Truth(in, out []int) { g.truth(in, out) }
 // (touch or flush), without firing the gate.
 func (g *TSXGate) WriteInput(i, bit int) error {
 	sp := g.m.BeginSpan(SpanWriteInput)
-	_, err := g.m.run(g.prog, g.setEntries[i][bit&1])
+	err := g.m.run(g.prog, g.setEntries[i][bit&1])
 	g.m.EndSpan(sp)
 	return err
 }
@@ -79,7 +82,7 @@ func (g *TSXGate) WriteInput(i, bit int) error {
 // pre-caching eviction targets) without firing.
 func (g *TSXGate) Prep() error {
 	sp := g.m.BeginSpan(SpanPrep)
-	_, err := g.m.run(g.prog, g.prep)
+	err := g.m.run(g.prog, g.prep)
 	g.m.EndSpan(sp)
 	return err
 }
@@ -93,7 +96,7 @@ func (g *TSXGate) Fire() error {
 	for _, in := range g.ins {
 		g.m.perturbData(in)
 	}
-	if _, err := g.m.run(g.prog, g.fire); err != nil {
+	if err := g.m.run(g.prog, g.fire); err != nil {
 		g.m.EndSpan(sp)
 		return err
 	}
@@ -118,7 +121,7 @@ func (g *TSXGate) ReadOutputs() ([]int, []int64, error) {
 func (g *TSXGate) readInto(bits []int, deltas []int64) error {
 	sp := g.m.BeginSpan(SpanRead)
 	defer g.m.EndSpan(sp)
-	if _, err := g.m.run(g.prog, g.read); err != nil {
+	if err := g.m.run(g.prog, g.read); err != nil {
 		return err
 	}
 	for i := 0; i < g.outputs; i++ {
@@ -134,10 +137,13 @@ func (g *TSXGate) readInto(bits []int, deltas []int64) error {
 }
 
 // Run performs a complete activation: write inputs, reset outputs,
-// fire, read. It returns the output bits.
+// fire, read. It returns the output bits, the only allocation.
 func (g *TSXGate) Run(in ...int) ([]int, error) {
-	bits, _, err := g.RunTimed(in...)
-	return bits, err
+	bits := make([]int, g.outputs)
+	if err := g.Activate(in, bits, g.deltas); err != nil {
+		return nil, err
+	}
+	return bits, nil
 }
 
 // RunTimed is Run returning the measured read latencies as well — the
@@ -263,9 +269,10 @@ func (t *tsxBuild) finish(name string, arity, outputs int, truth func(in, out []
 	g := &TSXGate{
 		gateBase: newGateBase(t.m, name, "tsx", arity, prog),
 		outputs:  outputs, ins: t.ins, outs: t.outs, truth: truth, setEntries: set,
+		deltas: make([]int64, outputs),
 	}
 	for _, entry := range []string{"prep", "fire", "read", "prep"} {
-		if _, err := t.m.run(prog, prog.MustEntry(entry)); err != nil {
+		if err := t.m.run(prog, prog.MustEntry(entry)); err != nil {
 			return nil, fmt.Errorf("core: warming %s/%s: %w", name, entry, err)
 		}
 	}

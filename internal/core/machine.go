@@ -104,6 +104,8 @@ type Machine struct {
 	evictNext mem.Addr
 	threshold int64
 	gateSeq   int
+	// runRes receives the counters of every run (see run).
+	runRes cpu.Result
 
 	// Calibration assets are built once and reused by Recalibrate: the
 	// probe symbol and program cannot be rebuilt, as Layout.AllocLine
@@ -266,8 +268,10 @@ func (m *Machine) evictBase(victim mem.Symbol, count int, tag string) []mem.Symb
 // run executes prog from instruction index entry, propagating
 // simulator errors. Gates resolve their entry labels to indices when
 // they are built (prog.MustEntry), so activations never look a label up.
-func (m *Machine) run(prog *isa.Program, entry int) (cpu.Result, error) {
-	return m.cpu.RunAt(prog, entry)
+// No caller reads the run's counters, so they go to the machine's one
+// scratch Result rather than being copied out of every run.
+func (m *Machine) run(prog *isa.Program, entry int) error {
+	return m.cpu.RunInto(prog, entry, &m.runRes)
 }
 
 // ToBit converts a measured read latency to a logic value: faster than
@@ -334,11 +338,11 @@ func (m *Machine) calibrate() error {
 	miss := make([]int64, 0, samples)
 	hit := make([]int64, 0, samples)
 	for i := 0; i < samples; i++ {
-		if _, err := m.run(m.calibProg, m.calibMiss); err != nil {
+		if err := m.run(m.calibProg, m.calibMiss); err != nil {
 			return err
 		}
 		miss = append(miss, int64(m.cpu.Reg(isa.R12)-m.cpu.Reg(isa.R10)))
-		if _, err := m.run(m.calibProg, m.calibHit); err != nil {
+		if err := m.run(m.calibProg, m.calibHit); err != nil {
 			return err
 		}
 		hit = append(hit, int64(m.cpu.Reg(isa.R12)-m.cpu.Reg(isa.R10)))

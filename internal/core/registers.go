@@ -67,7 +67,7 @@ func (w *wrBase) Name() string { return w.name }
 
 // ReadRaw runs the register's read entry and classifies the latency.
 func (w *wrBase) ReadRaw() (int, int64, error) {
-	if _, err := w.m.run(w.prog, w.read); err != nil {
+	if err := w.m.run(w.prog, w.read); err != nil {
 		return 0, 0, err
 	}
 	d := w.m.readDelta()
@@ -95,7 +95,7 @@ func (w *wrBase) calibrateWR(write func(int) error) error {
 			if err := write(bit); err != nil {
 				return err
 			}
-			if _, err := w.m.run(w.prog, w.read); err != nil {
+			if err := w.m.run(w.prog, w.read); err != nil {
 				return err
 			}
 			d := w.m.readDelta()
@@ -144,7 +144,7 @@ func NewDCWR(m *Machine) (*DCWR, error) {
 
 // Write implements WeirdRegister.
 func (r *DCWR) Write(bit int) error {
-	_, err := r.m.run(r.prog, r.writeEntry(bit))
+	err := r.m.run(r.prog, r.writeEntry(bit))
 	return err
 }
 
@@ -183,7 +183,7 @@ func NewICWR(m *Machine) (*ICWR, error) {
 // Write implements WeirdRegister: executing the body is the write-1
 // (reading is the same operation, so Read also writes 1).
 func (r *ICWR) Write(bit int) error {
-	_, err := r.m.run(r.prog, r.writeEntry(bit))
+	err := r.m.run(r.prog, r.writeEntry(bit))
 	return err
 }
 
@@ -220,7 +220,7 @@ func NewBPWR(m *Machine) (*BPWR, error) {
 func (r *BPWR) Write(bit int) error {
 	entry := r.writeEntry(bit)
 	for i := 0; i < r.m.TrainIterations(); i++ {
-		if _, err := r.m.run(r.prog, entry); err != nil {
+		if err := r.m.run(r.prog, entry); err != nil {
 			return err
 		}
 	}
@@ -264,7 +264,7 @@ func NewBTBWR(m *Machine) (*BTBWR, error) {
 func (r *BTBWR) Write(bit int) error {
 	// jmpA installs target B, so the aliased read misses; jmpA2
 	// installs target C, so the read predicts right.
-	_, err := r.m.run(r.prog, r.writeEntry(bit))
+	err := r.m.run(r.prog, r.writeEntry(bit))
 	return err
 }
 
@@ -316,14 +316,14 @@ func NewMulWR(m *Machine) (*MulWR, error) {
 
 // Write implements WeirdRegister.
 func (r *MulWR) Write(bit int) error {
-	_, err := r.m.run(r.prog, r.writeEntry(bit))
+	err := r.m.run(r.prog, r.writeEntry(bit))
 	return err
 }
 
 // Idle burns a few hundred cycles without touching the multiply unit,
 // letting tests observe the register's decay.
 func (r *MulWR) Idle() error {
-	_, err := r.m.run(r.prog, r.idle)
+	err := r.m.run(r.prog, r.idle)
 	return err
 }
 
@@ -372,13 +372,13 @@ func NewROBWR(m *Machine) (*ROBWR, error) {
 
 // Write implements WeirdRegister.
 func (r *ROBWR) Write(bit int) error {
-	_, err := r.m.run(r.prog, r.writeEntry(bit))
+	err := r.m.run(r.prog, r.writeEntry(bit))
 	return err
 }
 
 // Idle burns cycles so tests can observe decay.
 func (r *ROBWR) Idle() error {
-	_, err := r.m.run(r.prog, r.idle)
+	err := r.m.run(r.prog, r.idle)
 	return err
 }
 
