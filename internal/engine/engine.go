@@ -693,11 +693,13 @@ func (e *Engine) runJob(rig *Rig, j *Job) {
 		e.slos.Observe(obs)
 	}
 	e.completions.record(time.Now())
+	// Retire before waking Done() waiters, so a waiter that lists the
+	// jobs sees this one already counted against the retention window.
+	e.retire(j)
 	// Only now wake Done() waiters: a synchronous client released any
 	// earlier could fetch the job's trace before the recorder decided to
 	// keep it and see a spurious 404.
 	j.signalDone()
-	e.retire(j)
 }
 
 // retainJobs caps how many terminal jobs stay queryable; older ones are
