@@ -15,6 +15,7 @@ import (
 	"uwm/internal/core"
 	"uwm/internal/covert"
 	"uwm/internal/evalharness"
+	"uwm/internal/flightrec"
 	"uwm/internal/noise"
 	"uwm/internal/sha1wm"
 	"uwm/internal/skelly"
@@ -221,6 +222,36 @@ func BenchmarkGateOp_BPAndTraced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if _, err := g.Run(rng.Bit(), rng.Bit()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGateOp_BPAndCaptured is BenchmarkGateOp_BPAnd feeding a
+// flight-recorder Tap at the serving defaults (4096-event captures,
+// every trace kept), one job per 16 activations: the per-job capture
+// cost a served gate job pays, spread over its activations.
+func BenchmarkGateOp_BPAndCaptured(b *testing.B) {
+	rec := flightrec.New(flightrec.Config{HeadRate: 1})
+	tap := flightrec.NewTap()
+	m := core.MustNewMachine(core.Options{Seed: 1, TrainIterations: 4, Sink: tap})
+	g, err := core.NewBPAnd(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := noise.NewRNG(1)
+	var c *flightrec.Capture
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%16 == 0 {
+			if c != nil {
+				rec.Finish(c, flightrec.Outcome{Status: "done"})
+			}
+			c = rec.Begin(tap, flightrec.Meta{JobID: "job", Type: "gate"})
+			tap.Set(c)
+		}
 		if _, err := g.Run(rng.Bit(), rng.Bit()); err != nil {
 			b.Fatal(err)
 		}

@@ -109,12 +109,12 @@ step_race_shard() {
 		./internal/slo ./internal/evlog ./internal/cluster
 }
 
-# One iteration each of the gate-activation, cache and cpu
+# One iteration each of the gate-activation, cache, cpu and SLO
 # micro-benchmarks, so they keep compiling and running.
 step_micro_bench() {
 	go test -run '^$' \
-		-bench 'GateOp_|Hierarchy|LRU|Flush|CommittedALU|TimedLoad|SpeculativeWindow|TSXAbortWindow' \
-		-benchtime 1x . ./internal/cache ./internal/cpu
+		-bench 'GateOp_|Hierarchy|LRU|Flush|CommittedALU|TimedLoad|SpeculativeWindow|TSXAbortWindow|SLOObserve' \
+		-benchtime 1x . ./internal/cache ./internal/cpu ./internal/slo
 }
 
 # Each fuzz target runs as a fuzzer for 10 s, not only over its seed

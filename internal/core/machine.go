@@ -131,6 +131,9 @@ func NewMachine(opts Options) (*Machine, error) {
 	if opts.CPU != nil {
 		cfg = *opts.CPU
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	if opts.TrainIterations == 0 {
 		opts.TrainIterations = 100
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -204,5 +206,43 @@ func TestGShareMachineStillComputes(t *testing.T) {
 	// bimodal predictor's ~100% but far better than chance.
 	if float64(correct)/float64(total) < 0.7 {
 		t.Errorf("gshare accuracy %d/%d collapsed", correct, total)
+	}
+}
+
+// TestNonFiniteContentionRejected sets each contention parameter to
+// NaN and ±Inf in turn: NewMachine must return an error naming the
+// field and cpu.New must panic. Non-positive values stay valid and
+// keep their meaning (no decay, no surcharge).
+func TestNonFiniteContentionRejected(t *testing.T) {
+	fields := map[string]func(*cpu.Config, float64){
+		"MulPressureHalfLife": func(c *cpu.Config, v float64) { c.MulPressureHalfLife = v },
+		"MulContentionFactor": func(c *cpu.Config, v float64) { c.MulContentionFactor = v },
+		"ROBPressureHalfLife": func(c *cpu.Config, v float64) { c.ROBPressureHalfLife = v },
+		"ROBStallFactor":      func(c *cpu.Config, v float64) { c.ROBStallFactor = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := cpu.DefaultConfig()
+			set(&cfg, v)
+			m, err := NewMachine(Options{Seed: 1, Noise: noise.Quiet(), TrainIterations: 4, CPU: &cfg})
+			if err == nil || m != nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s=%v: NewMachine returned %v, %v; want an error naming the field", name, v, m, err)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), name) {
+						t.Errorf("%s=%v: cpu.New recovered %v, want a panic naming the field", name, v, r)
+					}
+				}()
+				cpu.New(cfg, nil, nil)
+			}()
+		}
+		for _, v := range []float64{0, -1} {
+			cfg := cpu.DefaultConfig()
+			set(&cfg, v)
+			if _, err := NewMachine(Options{Seed: 1, Noise: noise.Quiet(), TrainIterations: 4, CPU: &cfg}); err != nil {
+				t.Errorf("%s=%v: %v, want a valid machine", name, v, err)
+			}
+		}
 	}
 }

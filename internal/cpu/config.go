@@ -21,6 +21,9 @@
 package cpu
 
 import (
+	"fmt"
+	"math"
+
 	"uwm/internal/cache"
 )
 
@@ -97,8 +100,32 @@ type Config struct {
 	// pressure from long dependency chains; every committed
 	// instruction's front-end cost grows by pressure×factor cycles, so
 	// contention is graded rather than a threshold cliff.
+	//
+	// All four contention parameters must be finite (Validate); a
+	// non-positive half-life means no decay, a non-positive factor no
+	// surcharge.
 	ROBPressureHalfLife float64
 	ROBStallFactor      float64
+}
+
+// Validate reports the first contention parameter that is NaN or
+// infinite. Such a value would turn pressure into NaN or ±Inf and the
+// cycles it adds into an implementation-defined integer.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"MulPressureHalfLife", c.MulPressureHalfLife},
+		{"MulContentionFactor", c.MulContentionFactor},
+		{"ROBPressureHalfLife", c.ROBPressureHalfLife},
+		{"ROBStallFactor", c.ROBStallFactor},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("cpu: %s is %v, want a finite value", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // DefaultConfig returns the calibrated model parameters (see package

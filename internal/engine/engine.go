@@ -588,7 +588,7 @@ func (e *Engine) runJob(rig *Rig, j *Job) {
 	// needing any earlier job's events.
 	var capture *flightrec.Capture
 	if e.flight != nil {
-		capture = e.flight.Begin(flightrec.Meta{
+		capture = e.flight.Begin(rig.Tap, flightrec.Meta{
 			JobID:     j.id,
 			RequestID: j.spec.RequestID,
 			Type:      j.spec.Type,

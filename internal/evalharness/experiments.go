@@ -405,18 +405,23 @@ func FigureKDE(p Params, gate string) (*KDEFigure, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Bucket each activation by expected logic level as it completes,
+	// clipping the interrupt tail so the KDE shows the logic-level
+	// boundary, as the paper's figures do. Inputs are drawn bit by bit
+	// in vector order, the draws core.RandomInputs makes.
 	rng := noise.NewRNG(p.Seed + 7)
-	samples, err := core.CollectTimings(g, core.RandomInputs(rng, p.FigureOps, g.Arity()))
-	if err != nil {
-		return nil, err
-	}
-	// Bucket by expected logic level, clipping the interrupt tail so the
-	// KDE shows the logic-level boundary, as the paper's figures do.
+	in, bits, deltas := make([]int, g.Arity()), make([]int, g.Outputs()), make([]int64, g.Outputs())
 	var c0, c1 []float64
 	want := make([]int, 1)
-	for _, s := range samples {
-		if d := s.Deltas[0]; d < 600 {
-			if g.Truth(s.Inputs, want); want[0] == 1 {
+	for i := 0; i < p.FigureOps; i++ {
+		for j := range in {
+			in[j] = rng.Bit()
+		}
+		if err := g.Activate(in, bits, deltas); err != nil {
+			return nil, err
+		}
+		if d := deltas[0]; d < 600 {
+			if g.Truth(in, want); want[0] == 1 {
 				c1 = append(c1, float64(d))
 			} else {
 				c0 = append(c0, float64(d))

@@ -5,10 +5,11 @@
 // job returns a wrong answer the only real evidence is the precise
 // sequence of timed reads, speculative windows and calibrations that
 // produced it — evidence a global -trace-out stream buries across all
-// workers and jobs. Here every engine job runs against its own bounded
-// event buffer (a Capture), fed from its worker machine's trace stream
-// through a per-worker Tap. When the job finishes, the Recorder decides
-// whether the capture is worth keeping:
+// workers and jobs. Here every engine job runs against a bounded event
+// buffer (a Capture), fed from its worker machine's trace stream
+// through a per-worker Tap; the Tap owns the ring, so each job reuses
+// its worker's buffer. When the job finishes, the Recorder decides
+// whether the capture is worth keeping, and copies it out only then:
 //
 //   - always, when the job errored, its redundant attempts disagreed,
 //     any attempt was retried, the worker's health monitor holds a
@@ -84,7 +85,9 @@ type Config struct {
 	// MaxEventsPerTrace bounds each job's capture buffer; past it the
 	// oldest events are overwritten (the newest tail is the interesting
 	// part when a gate misfires) and the overwrites are counted as
-	// dropped events. Default 4096; negative means unlimited.
+	// dropped events. Each worker's Tap holds one such buffer for
+	// life, 56 bytes an event once full. Default 4096; negative means
+	// unlimited (a Tap then keeps the capacity of its largest job).
 	MaxEventsPerTrace int
 	// HeadRate is the probability a healthy trace is kept, decided by
 	// hashing the job id so the choice is deterministic. 0 (the zero
@@ -120,17 +123,19 @@ type Meta struct {
 	Type      string
 }
 
-// Capture is one job's private event buffer. It is owned by a single
-// worker goroutine between Begin and Finish and must not be shared.
+// Capture is one job's recording: its seed events and its Tap's ring.
+// It is owned by a single worker goroutine between Begin and Finish
+// and must not be shared; the next Begin on the same Tap reuses the
+// ring.
 type Capture struct {
 	meta Meta
 	seed []trace.Event
-	rec  *trace.Recorder
+	ring *trace.Recorder
 }
 
 // Emit implements trace.Sink: events land in the capture's bounded
 // ring buffer.
-func (c *Capture) Emit(e trace.Event) { c.rec.Record(e) }
+func (c *Capture) Emit(e trace.Event) { c.ring.Record(e) }
 
 // Seed records an event ahead of the ring buffer, exempt from
 // truncation. The health checkpoint goes here: a long job may overflow
@@ -139,11 +144,14 @@ func (c *Capture) Emit(e trace.Event) { c.rec.Record(e) }
 func (c *Capture) Seed(e trace.Event) { c.seed = append(c.seed, e) }
 
 // Tap is the per-worker switchpoint between a machine's trace stream
-// and the current job's capture. The owning worker goroutine calls Set
-// around each job; the atomic pointer makes concurrent Enabled checks
-// (from trace.Tee fan-outs) safe.
+// and the current job's capture. It owns the worker's capture ring,
+// which every Begin on it resets, so a Tap serves one Recorder and one
+// job at a time. The owning worker goroutine calls Set around each
+// job; the atomic pointer makes concurrent Enabled checks (from
+// trace.Tee fan-outs) safe.
 type Tap struct {
-	cur atomic.Pointer[Capture]
+	cur  atomic.Pointer[Capture]
+	ring *trace.Recorder
 }
 
 // NewTap returns an empty tap.
@@ -159,7 +167,7 @@ func (t *Tap) Set(c *Capture) {
 // Emit implements trace.Sink, forwarding to the active capture.
 func (t *Tap) Emit(e trace.Event) {
 	if c := t.cur.Load(); c != nil {
-		c.rec.Record(e)
+		c.ring.Record(e)
 	}
 }
 
@@ -316,25 +324,30 @@ func New(cfg Config) *Recorder {
 // configuration.
 func (r *Recorder) Config() Config { return r.cfg }
 
-// Begin opens a capture for one job. The capture is not visible to
+// Begin opens a capture for one job on tap's ring, emptying whatever
+// the tap's previous job left there. The capture is not visible to
 // readers until Finish decides its fate.
-func (r *Recorder) Begin(meta Meta) *Capture {
+func (r *Recorder) Begin(tap *Tap, meta Meta) *Capture {
 	if r == nil {
 		return nil
 	}
-	return &Capture{meta: meta, rec: trace.NewRecorder(r.cfg.MaxEventsPerTrace)}
+	if tap.ring == nil {
+		tap.ring = trace.NewRecorder(r.cfg.MaxEventsPerTrace)
+	} else {
+		tap.ring.Reset()
+	}
+	return &Capture{meta: meta, ring: tap.ring}
 }
 
 // Finish applies the tail-based sampling policy to a finished capture
-// and, when it is kept, publishes it to the index. Every decision —
-// kept or dropped — is broadcast to live-tail subscribers.
+// and, when it is kept, copies it out of the ring and publishes it to
+// the index. Every decision — kept or dropped — is broadcast to
+// live-tail subscribers, a kept trace's once it is indexed.
 func (r *Recorder) Finish(c *Capture, o Outcome) Decision {
 	if r == nil || c == nil {
 		return Decision{}
 	}
-	events := make([]trace.Event, 0, len(c.seed)+len(c.rec.Events()))
-	events = append(events, c.seed...)
-	events = append(events, c.rec.Events()...)
+	n, dropped := len(c.seed)+c.ring.Len(), c.ring.Dropped()
 	latSec := o.Latency.Seconds()
 
 	r.mu.Lock()
@@ -351,8 +364,8 @@ func (r *Recorder) Finish(c *Capture, o Outcome) Decision {
 		Kept:           d.Kept,
 		Reason:         d.Reason,
 		Pinned:         d.Pinned,
-		Events:         len(events),
-		DroppedEvents:  c.rec.Dropped(),
+		Events:         n,
+		DroppedEvents:  dropped,
 		Retries:        o.Retries,
 		Disagreement:   o.Disagreement,
 		Drifting:       o.Drifting,
@@ -361,8 +374,15 @@ func (r *Recorder) Finish(c *Capture, o Outcome) Decision {
 		Verdict:        o.Verdict,
 	}
 	r.decisionCtr[d.Reason].Inc()
-	r.droppedCtr.Add(uint64(c.rec.Dropped()))
+	r.droppedCtr.Add(uint64(dropped))
 	if d.Kept {
+		// The ring belongs to the finishing worker, so the copy needs no
+		// lock; other workers decide and publish meanwhile.
+		r.mu.Unlock()
+		events := make([]trace.Event, 0, n)
+		events = append(events, c.seed...)
+		events = c.ring.AppendEvents(events)
+		r.mu.Lock()
 		r.insertLocked(&KeptTrace{Entry: entry, Events: events})
 	}
 	for _, ch := range r.subs {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,10 +14,20 @@ import (
 	"uwm/internal/trace"
 )
 
-// finish runs one synthetic job through the recorder: open a capture,
-// emit n events into it, and apply the sampling decision.
+// taps holds one Tap per recorder, so successive synthetic jobs reuse
+// its ring as a worker's jobs do.
+var taps = map[*Recorder]*Tap{}
+
+// finish runs one synthetic job through the recorder: open a capture
+// on the recorder's tap, emit n events into it, and apply the sampling
+// decision.
 func finish(r *Recorder, id, reqID, typ string, o Outcome, n int) Decision {
-	c := r.Begin(Meta{JobID: id, RequestID: reqID, Type: typ})
+	tap := taps[r]
+	if tap == nil {
+		tap = NewTap()
+		taps[r] = tap
+	}
+	c := r.Begin(tap, Meta{JobID: id, RequestID: reqID, Type: typ})
 	for i := 0; i < n; i++ {
 		c.Emit(trace.Event{Kind: trace.KindAnnotation, Cycle: int64(i), Text: "e"})
 	}
@@ -273,7 +284,7 @@ func TestSubscribeDeliversAndCancelReleases(t *testing.T) {
 
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
-	if c := r.Begin(Meta{JobID: "x"}); c != nil {
+	if c := r.Begin(NewTap(), Meta{JobID: "x"}); c != nil {
 		t.Fatal("nil recorder returned a capture")
 	}
 	if d := r.Finish(nil, Outcome{}); d.Kept {
@@ -299,7 +310,7 @@ func TestTapRoutesOnlyWhileSet(t *testing.T) {
 	r := New(Config{HeadRate: 1})
 	tap := NewTap()
 	tap.Emit(trace.Event{Kind: trace.KindAnnotation, Text: "before"}) // no capture: dropped
-	c := r.Begin(Meta{JobID: "job-0", Type: "gate"})
+	c := r.Begin(tap, Meta{JobID: "job-0", Type: "gate"})
 	tap.Set(c)
 	if !tap.Enabled() {
 		t.Fatal("tap with capture reports disabled")
@@ -314,5 +325,102 @@ func TestTapRoutesOnlyWhileSet(t *testing.T) {
 	}
 	if len(kt.Events) != 1 || kt.Events[0].Text != "during" {
 		t.Fatalf("capture holds %v, want exactly the in-window event", kt.Events)
+	}
+}
+
+// TestTapRingReuseKeepsTracesIntact runs two jobs through one Tap: the
+// second job overwrites the shared ring, and must leave the first
+// job's kept trace and both index entries as they were recorded.
+func TestTapRingReuseKeepsTracesIntact(t *testing.T) {
+	r := New(Config{MaxEventsPerTrace: 8, HeadRate: 1})
+	tap := NewTap()
+	run := func(id string, n int) *KeptTrace {
+		c := r.Begin(tap, Meta{JobID: id, Type: "gate"})
+		c.Seed(trace.Event{Kind: trace.KindAnnotation, Text: id + "-seed"})
+		tap.Set(c)
+		for i := 0; i < n; i++ {
+			tap.Emit(trace.Event{Kind: trace.KindAnnotation, Cycle: int64(i), Text: id})
+		}
+		tap.Set(nil)
+		if d := r.Finish(c, healthy(time.Millisecond)); !d.Kept {
+			t.Fatalf("%s: decision %+v, want kept", id, d)
+		}
+		kt, ok := r.Get(id)
+		if !ok {
+			t.Fatalf("%s: trace not kept", id)
+		}
+		return kt
+	}
+	first := run("job-0", 5)
+	want := append([]trace.Event(nil), first.Events...)
+	second := run("job-1", 20)
+
+	if len(first.Events) != 6 || first.Entry.Events != 6 || first.Entry.DroppedEvents != 0 {
+		t.Fatalf("first trace: %d events, entry %d/%d dropped, want 6/6/0",
+			len(first.Events), first.Entry.Events, first.Entry.DroppedEvents)
+	}
+	for i := range want {
+		if first.Events[i] != want[i] {
+			t.Fatalf("first trace event %d changed to %v after the second job, want %v", i, first.Events[i], want[i])
+		}
+	}
+	if first.Events[0].Text != "job-0-seed" || first.Events[5].Text != "job-0" || first.Events[5].Cycle != 4 {
+		t.Fatalf("first trace %v, want its seed then cycles 0..4", first.Events)
+	}
+	if len(second.Events) != 9 || second.Entry.Events != 9 || second.Entry.DroppedEvents != 12 {
+		t.Fatalf("second trace: %d events, entry %d/%d dropped, want 9/9/12",
+			len(second.Events), second.Entry.Events, second.Entry.DroppedEvents)
+	}
+	if second.Events[0].Text != "job-1-seed" || second.Events[1].Cycle != 12 || second.Events[8].Cycle != 19 {
+		t.Fatalf("second trace %v, want its seed then cycles 12..19", second.Events)
+	}
+	if &first.Events[len(first.Events)-1] == &second.Events[len(second.Events)-1] {
+		t.Fatal("kept traces share a backing array")
+	}
+}
+
+// TestConcurrentFinishesKeepEveryTrace has four workers, each with its
+// own Tap, finish kept jobs while a reader lists and fetches traces:
+// the copy out of each ring runs outside the recorder's lock.
+func TestConcurrentFinishesKeepEveryTrace(t *testing.T) {
+	const workers, jobs = 4, 25
+	r := New(Config{MaxKept: workers * jobs, MaxEventsPerTrace: 16, HeadRate: 1})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tap := NewTap()
+			for j := 0; j < jobs; j++ {
+				c := r.Begin(tap, Meta{JobID: fmt.Sprintf("w%d-job-%d", w, j), Type: "gate"})
+				tap.Set(c)
+				for i := 0; i < 40; i++ {
+					tap.Emit(trace.Event{Kind: trace.KindAnnotation, Cycle: int64(i)})
+				}
+				tap.Set(nil)
+				r.Finish(c, healthy(time.Millisecond))
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			for _, e := range r.Index() {
+				r.Get(e.ID)
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	idx := r.Index()
+	if len(idx) != workers*jobs {
+		t.Fatalf("index holds %d traces, want %d", len(idx), workers*jobs)
+	}
+	for _, e := range idx {
+		kt, ok := r.Get(e.ID)
+		if !ok || len(kt.Events) != 16 || kt.Events[0].Cycle != 24 || kt.Entry.DroppedEvents != 24 {
+			t.Fatalf("%s: kept %v, want the 16 newest of 40 events", e.ID, kt)
+		}
 	}
 }

@@ -2,7 +2,7 @@ package slo
 
 import "time"
 
-// pair is one bucket's good/bad tally.
+// pair is a good/bad tally.
 type pair struct{ good, bad float64 }
 
 // series is a bucketed ring of good/bad counts over virtual time. The
@@ -14,16 +14,28 @@ type pair struct{ good, bad float64 }
 // series has no notion of "now" beyond the newest bucket it has seen —
 // time advances only when observations arrive, which is what keeps
 // evaluation deterministic under a virtual clock.
+//
+// The ring holds running totals, not per-bucket counts: the slot for
+// bucket b holds T(b), the sum of every retained count in buckets up to
+// b. It keeps one slot more than the n buckets it retains; the oldest
+// slot is the baseline T(oldest−1) that the retained buckets are
+// counted from. Any window is then one subtraction, and an observation
+// costs the same whatever the window lengths. The totals are exact:
+// every count comes from classify as an integer-valued float, and
+// integer-valued floats add and subtract without rounding, in any
+// order, while the totals stay below 2^53. So each window reads
+// bit-for-bit what summing its buckets one by one would read.
 type series struct {
-	width   int64 // bucket width, ns
-	pairs   []pair
-	head    int   // ring slot of the newest bucket
-	headBI  int64 // absolute bucket index of the newest bucket
+	width   int64  // bucket width, ns
+	tot     []pair // running totals; slot head is T(headBI)
+	head    int    // ring slot of the newest bucket
+	headBI  int64  // absolute bucket index of the newest bucket
 	started bool
 }
 
 // newSeries sizes a ring: width fine enough to resolve the shortest
-// window into ~12 buckets (floored at 1s), length covering horizon.
+// window into ~12 buckets (floored at 1s), retaining enough buckets to
+// cover horizon.
 func newSeries(shortest, horizon time.Duration) *series {
 	width := int64(shortest) / 12
 	if width < int64(time.Second) {
@@ -33,12 +45,24 @@ func newSeries(shortest, horizon time.Duration) *series {
 	if n < 2 {
 		n = 2
 	}
-	return &series{width: width, pairs: make([]pair, n)}
+	return &series{width: width, tot: make([]pair, n+1)}
 }
 
-// add accumulates counts into the bucket containing at, advancing and
-// zeroing the ring as needed. Observations older than the ring's span
-// are dropped — they are outside every window the engine evaluates.
+// slot returns the ring slot of bucket bi, which must lie within
+// [headBI−len(tot)+1, headBI].
+func (s *series) slot(bi int64) int {
+	idx := s.head - int(s.headBI-bi)
+	if idx < 0 {
+		idx += len(s.tot)
+	}
+	return idx
+}
+
+// add accumulates counts into the bucket containing at, advancing the
+// ring as needed. Observations older than the retained buckets are
+// dropped — they are outside every window the engine evaluates. An
+// advance writes each slot at most once, however long the gap, and a
+// late observation updates the totals from its bucket up to the head.
 func (s *series) add(at time.Time, good, bad float64) {
 	bi := at.UnixNano() / s.width
 	if !s.started {
@@ -46,27 +70,42 @@ func (s *series) add(at time.Time, good, bad float64) {
 		s.headBI = bi
 		s.head = 0
 	}
-	for bi > s.headBI {
-		s.head++
-		if s.head == len(s.pairs) {
-			s.head = 0
+	if gap := bi - s.headBI; gap > 0 {
+		if gap >= int64(len(s.tot)) {
+			// Every bucket the ring held is now older than its baseline,
+			// so any common value is a valid set of totals.
+			clear(s.tot)
+		} else {
+			carry := s.tot[s.head]
+			for ; gap > 0; gap-- {
+				s.head++
+				if s.head == len(s.tot) {
+					s.head = 0
+				}
+				s.tot[s.head] = carry
+			}
 		}
-		s.pairs[s.head] = pair{}
-		s.headBI++
+		s.headBI = bi
 	}
-	back := s.headBI - bi
-	if back < 0 || back >= int64(len(s.pairs)) {
+	if s.headBI-bi >= int64(len(s.tot)-1) {
 		return
 	}
-	idx := s.head - int(back)
-	if idx < 0 {
-		idx += len(s.pairs)
+	for idx := s.slot(bi); ; {
+		s.tot[idx].good += good
+		s.tot[idx].bad += bad
+		if idx == s.head {
+			return
+		}
+		idx++
+		if idx == len(s.tot) {
+			idx = 0
+		}
 	}
-	s.pairs[idx].good += good
-	s.pairs[idx].bad += bad
 }
 
-// window sums the buckets covering (now-w, now].
+// window sums the retained buckets covering (now-w, now]. Buckets newer
+// than the head read as empty: T(min(now, head)) − T(max(now−w,
+// oldest−1)).
 func (s *series) window(now time.Time, w time.Duration) (good, bad float64) {
 	if !s.started {
 		return 0, 0
@@ -76,17 +115,11 @@ func (s *series) window(now time.Time, w time.Duration) (good, bad float64) {
 	if nb < 1 {
 		nb = 1
 	}
-	for d := int64(0); d < nb; d++ {
-		back := s.headBI - (nowBI - d)
-		if back < 0 || back >= int64(len(s.pairs)) {
-			continue
-		}
-		idx := s.head - int(back)
-		if idx < 0 {
-			idx += len(s.pairs)
-		}
-		good += s.pairs[idx].good
-		bad += s.pairs[idx].bad
+	hi := min(nowBI, s.headBI)
+	lo := max(nowBI-nb, s.headBI-int64(len(s.tot)-1))
+	if hi <= lo {
+		return 0, 0
 	}
-	return good, bad
+	a, b := s.tot[s.slot(hi)], s.tot[s.slot(lo)]
+	return a.good - b.good, a.bad - b.bad
 }

@@ -266,10 +266,25 @@ func (r *Recorder) Events() []Event {
 	if r.start == 0 {
 		return r.events
 	}
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.start:]...)
-	out = append(out, r.events[:r.start]...)
-	return out
+	return r.AppendEvents(make([]Event, 0, len(r.events)))
+}
+
+// AppendEvents appends copies of the stored events to dst, oldest
+// first, and returns the extended slice.
+func (r *Recorder) AppendEvents(dst []Event) []Event {
+	if r == nil {
+		return dst
+	}
+	dst = append(dst, r.events[r.start:]...)
+	return append(dst, r.events[:r.start]...)
+}
+
+// Len returns how many events are stored.
+func (r *Recorder) Len() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.events)
 }
 
 // Dropped returns how many events were overwritten due to the limit.
@@ -280,7 +295,7 @@ func (r *Recorder) Dropped() int {
 	return r.dropped
 }
 
-// Reset clears stored events.
+// Reset clears stored events, keeping the buffer's capacity.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
