@@ -125,6 +125,7 @@ step_fuzz() {
 	go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 10s ./internal/wmapt
 	go test -run '^$' -fuzz '^FuzzDecodeSpec$' -fuzztime 10s ./internal/circopt
 	go test -run '^$' -fuzz '^FuzzParseJSONL$' -fuzztime 10s ./internal/traceanalyze
+	go test -run '^$' -fuzz '^FuzzArchitecturalEquivalence$' -fuzztime 10s ./internal/cpu
 }
 
 # perfbench is its own module, so the root go test ./... never reaches
