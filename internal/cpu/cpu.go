@@ -25,6 +25,10 @@ var ErrRunaway = errors.New("cpu: program exceeded step limit")
 // issue inside its speculative window: dependants starve.
 const neverReady = math.MaxInt64 / 4
 
+// noDeadline is the committed path's deadline: a committed instruction
+// always issues.
+const noDeadline = math.MaxInt64
+
 // Result reports one Run call's outcome and counters.
 type Result struct {
 	// Entry is the label Run started at; RunAt and RunInto leave it
@@ -192,9 +196,6 @@ func (c *CPU) Mem() *mem.Memory { return c.mem }
 // evaluation harness; gates only ever observe it through timing).
 func (c *CPU) Hierarchy() *cache.Hierarchy { return c.hier }
 
-// Predictor returns the direction predictor.
-func (c *CPU) Predictor() branch.DirectionPredictor { return c.dir }
-
 // BTB returns the branch target buffer.
 func (c *CPU) BTB() *branch.BTB { return c.btb }
 
@@ -260,9 +261,6 @@ func (c *CPU) Sink() trace.Sink { return c.sink }
 // SetObserved attaches or detaches the modelled debugger: while true,
 // every transactional region aborts on entry.
 func (c *CPU) SetObserved(on bool) { c.observed = on }
-
-// Observed reports whether a debugger is attached.
-func (c *CPU) Observed() bool { return c.observed }
 
 // record emits an event when a live sink is attached. Architectural
 // events produced inside an open transaction are buffered and only
@@ -368,87 +366,21 @@ func (c *CPU) RunInto(prog *isa.Program, idx int, res *Result) error {
 func (c *CPU) step(prog *isa.Program, idx int, inst *isa.Inst, res *Result) (int, error) {
 	cfg := &c.cfg
 	switch inst.Op {
-	case isa.MOVI:
-		c.writeReg(inst.Dst, uint64(inst.Imm), c.clock+cfg.ALULatency)
-		c.clock++
-
-	case isa.MOV:
-		c.writeReg(inst.Dst, c.regs[inst.Src1], maxi(c.clock, c.ready[inst.Src1])+cfg.ALULatency)
-		c.clock++
-
-	case isa.LOAD:
-		addr := inst.SymAddr + mem.Addr(inst.Imm)
-		lat := c.memAccess(addr, c.clock)
-		done := c.clock + lat
-		c.writeReg(inst.Dst, c.mem.Read64(addr), done)
-		c.bump(done)
-		c.clock++
-
-	case isa.LOADR:
-		addr := mem.Addr(c.regs[inst.Src1]) + mem.Addr(inst.Imm)
-		start := maxi(c.clock, c.ready[inst.Src1])
-		lat := c.memAccess(addr, start)
-		done := start + lat
-		c.writeReg(inst.Dst, c.mem.Read64(addr), done)
-		c.bump(done)
-		c.clock++
-
-	case isa.ADDM:
-		addr := inst.SymAddr + mem.Addr(inst.Imm)
-		start := maxi(c.clock, c.ready[inst.Dst])
-		lat := c.memAccess(addr, start)
-		done := start + lat + cfg.ALULatency
-		c.writeReg(inst.Dst, c.regs[inst.Dst]+c.mem.Read64(addr), done)
-		c.bump(done)
-		c.clock++
-
-	case isa.STORE:
-		addr := inst.SymAddr + mem.Addr(inst.Imm)
-		c.commitStore(addr, c.regs[inst.Src1], inst.Addr)
-		c.clock++
-
-	case isa.STORR:
-		addr := mem.Addr(c.regs[inst.Src1]) + mem.Addr(inst.Imm)
-		c.commitStore(addr, c.regs[inst.Src2], inst.Addr)
-		c.clock++
-
-	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR:
-		start := maxi(c.clock, maxi(c.ready[inst.Src1], c.ready[inst.Src2]))
-		c.writeReg(inst.Dst, alu(inst.Op, c.regs[inst.Src1], c.regs[inst.Src2]), start+cfg.ALULatency)
-		c.clock++
-
-	case isa.ADDI:
-		start := maxi(c.clock, c.ready[inst.Src1])
-		c.writeReg(inst.Dst, c.regs[inst.Src1]+uint64(inst.Imm), start+cfg.ALULatency)
-		c.clock++
-
-	case isa.SHL:
-		start := maxi(c.clock, c.ready[inst.Src1])
-		c.writeReg(inst.Dst, c.regs[inst.Src1]<<uint(inst.Imm&63), start+cfg.ALULatency)
-		c.clock++
-
-	case isa.SHR:
-		start := maxi(c.clock, c.ready[inst.Src1])
-		c.writeReg(inst.Dst, c.regs[inst.Src1]>>uint(inst.Imm&63), start+cfg.ALULatency)
-		c.clock++
-
-	case isa.MUL:
-		start := maxi(c.clock, maxi(c.ready[inst.Src1], c.ready[inst.Src2]))
-		lat := c.mulLatency()
-		c.addMulPressure(1)
-		done := start + lat
-		c.writeReg(inst.Dst, c.regs[inst.Src1]*c.regs[inst.Src2], done)
-		c.bump(done)
-		c.clock++
-
-	case isa.DIV:
-		if c.regs[inst.Src2] == 0 {
-			return c.fault(prog, idx, res)
+	case isa.MOVI, isa.MOV, isa.LOAD, isa.LOADR, isa.ADDM, isa.ADD, isa.ADDI, isa.SUB,
+		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.MUL, isa.DIV:
+		if inst.Op == isa.DIV && c.regs[inst.Src2] == 0 {
+			return c.divideFault(prog, idx, res)
 		}
-		start := maxi(c.clock, maxi(c.ready[inst.Src1], c.ready[inst.Src2]))
-		done := start + cfg.DivLatency
-		c.writeReg(inst.Dst, c.regs[inst.Src1]/c.regs[inst.Src2], done)
-		c.bump(done)
+		v, done, slow, _ := c.execute(inst, &c.regs, &c.ready, c.clock, noDeadline)
+		c.writeReg(inst.Dst, v, done)
+		if slow {
+			c.bump(done)
+		}
+		c.clock++
+
+	case isa.STORE, isa.STORR:
+		addr, v, issue := storeOperands(inst, &c.regs, &c.ready, c.clock)
+		c.commitStore(addr, v, issue, inst.Addr)
 		c.clock++
 
 	case isa.CLF:
@@ -559,19 +491,14 @@ func (c *CPU) step(prog *isa.Program, idx int, inst *isa.Inst, res *Result) (int
 	return idx + 1, nil
 }
 
-// fault handles a divide-by-zero. Inside a transaction it triggers the
-// post-fault transient window and aborts; outside it is a program error.
-func (c *CPU) fault(prog *isa.Program, idx int, res *Result) (int, error) {
+// divideFault handles a divide by zero at idx. Outside a transaction it
+// is a program error. Inside one it runs the post-fault transient window
+// over the following instructions (the paper's §4 mechanism) and then
+// aborts the transaction.
+func (c *CPU) divideFault(prog *isa.Program, idx int, res *Result) (int, error) {
 	if c.txn == nil {
 		return 0, ErrFault
 	}
-	return c.abortTxn2(prog, idx, res), nil
-}
-
-// abortTxn2 aborts the current transaction after the faulting
-// instruction at idx, first running the post-fault transient window over
-// the following instructions (the paper's §4 mechanism).
-func (c *CPU) abortTxn2(prog *isa.Program, idx int, res *Result) int {
 	window := c.cfg.TSXWindow + c.ns.WindowJitter()
 	if c.ns.ChainBreak() {
 		// The fault was detected on a warm path and the window
@@ -583,7 +510,7 @@ func (c *CPU) abortTxn2(prog *isa.Program, idx int, res *Result) int {
 		window = 0
 	}
 	c.speculate(prog, idx+1, c.clock, c.clock+window, res)
-	return c.abortTxn(prog, res, false)
+	return c.abortTxn(prog, res, false), nil
 }
 
 // abortTxn rolls back the open transaction and redirects to its abort
@@ -682,11 +609,95 @@ func (c *CPU) branch(prog *isa.Program, idx int, inst *isa.Inst, res *Result) in
 	return idx + 1
 }
 
-// commitStore performs an architectural store: write-allocate cache
-// fill, memory write, transaction logging, trace events.
-func (c *CPU) commitStore(addr mem.Addr, v uint64, pc mem.Addr) {
-	lat := c.memAccess(addr, c.clock)
-	c.bump(c.clock + lat)
+// execute times and computes one dataflow instruction — MOVI, MOV, the
+// loads, ADDM, the ALU ops, MUL and DIV — over the register file regs,
+// whose values become available at the cycles in ready. Both execution
+// paths call it: step with the architectural file and noDeadline,
+// speculate with its shadow file and the window's deadline. The
+// instruction issues at the later of at and its sources' ready cycles;
+// when that is past deadline, ok is false and nothing else happens.
+// Otherwise it performs the data access or occupies the multiply unit
+// and returns the value and the cycle it is ready. slow marks a result
+// from the memory system or the multiply or divide unit rather than the
+// ALU, which the committed path's completion horizon waits for.
+//
+// A deadline is always below neverReady, so an issue at or before it
+// means every source was ready: the dependants of a transient load that
+// could not issue starve. DIV's caller has already checked its divisor,
+// since what a divide by zero does is the caller's rule.
+func (c *CPU) execute(inst *isa.Inst, regs *[isa.NumRegs]uint64, ready *[isa.NumRegs]int64, at, deadline int64) (v uint64, done int64, slow, ok bool) {
+	a, b := regs[inst.Src1], regs[inst.Src2]
+	t1 := maxi(at, ready[inst.Src1]) // issue cycle of a one-source op
+	t2 := maxi(t1, ready[inst.Src2]) // and of a two-source op
+	t := t2
+	switch inst.Op {
+	case isa.MOVI:
+		t, v = at, uint64(inst.Imm)
+	case isa.MOV:
+		t, v = t1, a
+	case isa.ADDI:
+		t, v = t1, a+uint64(inst.Imm)
+	case isa.SHL:
+		t, v = t1, a<<uint(inst.Imm&63)
+	case isa.SHR:
+		t, v = t1, a>>uint(inst.Imm&63)
+	case isa.ADD:
+		v = a + b
+	case isa.SUB:
+		v = a - b
+	case isa.AND:
+		v = a & b
+	case isa.OR:
+		v = a | b
+	case isa.XOR:
+		v = a ^ b
+	case isa.LOAD, isa.LOADR:
+		addr := inst.SymAddr + mem.Addr(inst.Imm)
+		if t = at; inst.Op == isa.LOADR {
+			addr, t = mem.Addr(a)+mem.Addr(inst.Imm), t1
+		}
+		if t > deadline {
+			return 0, 0, false, false
+		}
+		return c.mem.Read64(addr), t + c.memAccess(addr, t, deadline), true, true
+	case isa.ADDM:
+		// The destination is also the source.
+		if t = maxi(at, ready[inst.Dst]); t > deadline {
+			return 0, 0, false, false
+		}
+		addr := inst.SymAddr + mem.Addr(inst.Imm)
+		lat := c.memAccess(addr, t, deadline)
+		return regs[inst.Dst] + c.mem.Read64(addr), t + lat + c.cfg.ALULatency, true, true
+	case isa.MUL:
+		if t > deadline {
+			return 0, 0, false, false
+		}
+		lat := c.mulLatency()
+		c.addMulPressure(1) // transient MULs occupy the unit too
+		return a * b, t + lat, true, true
+	case isa.DIV:
+		return a / b, t + c.cfg.DivLatency, true, t <= deadline
+	default:
+		panic("cpu: not a dataflow op: " + inst.Op.String())
+	}
+	return v, t + c.cfg.ALULatency, false, t <= deadline
+}
+
+// storeOperands returns a store's address, the value it stores and the
+// cycle its write-allocate access issues: at, or later when a STORR's
+// address register is not yet ready. No store waits for its value.
+func storeOperands(inst *isa.Inst, regs *[isa.NumRegs]uint64, ready *[isa.NumRegs]int64, at int64) (mem.Addr, uint64, int64) {
+	if inst.Op == isa.STORR {
+		return mem.Addr(regs[inst.Src1]) + mem.Addr(inst.Imm), regs[inst.Src2], maxi(at, ready[inst.Src1])
+	}
+	return inst.SymAddr + mem.Addr(inst.Imm), regs[inst.Src1], at
+}
+
+// commitStore performs an architectural store issued at the given cycle:
+// write-allocate cache fill, memory write, transaction logging, trace
+// events.
+func (c *CPU) commitStore(addr mem.Addr, v uint64, issue int64, pc mem.Addr) {
+	c.bump(issue + c.memAccess(addr, issue, noDeadline))
 	if c.txn != nil {
 		c.txn.writes = append(c.txn.writes, memWrite{addr: addr &^ 7, old: c.mem.Read64(addr)})
 	}
@@ -706,10 +717,13 @@ func (c *CPU) fetchLatency(addr mem.Addr) int64 {
 	return lat
 }
 
-// memAccess performs a data-cache access issued at the given cycle and
-// returns its latency, applying DRAM jitter and MSHR merging: an access
-// to a line whose fill is still in flight completes when that fill does.
-func (c *CPU) memAccess(addr mem.Addr, issue int64) int64 {
+// memAccess performs a data-cache access issued at the given cycle by an
+// instruction executing against deadline, and returns its latency,
+// applying DRAM jitter and MSHR merging: an access to a line whose fill
+// is still in flight completes when that fill does. A transient access
+// (any deadline but noDeadline) is also traced as a fill: the line it
+// brings in is all of it that outlives the squash.
+func (c *CPU) memAccess(addr mem.Addr, issue, deadline int64) int64 {
 	line := addr.Line()
 	lat, lvl := c.hier.LoadData(addr)
 	if lvl == cache.LevelMem {
@@ -726,17 +740,22 @@ func (c *CPU) memAccess(addr mem.Addr, issue int64) int64 {
 			// AND chain honest when another chain already requested an
 			// operand (Figure 3's ordering).
 			c.stats.MSHRMerges++
-			return done - issue
+			lat = done - issue
+		} else {
+			// Entry drained — or the line was evicted after the
+			// original fill (this access is a brand-new miss,
+			// re-registered below). Without the presence check, a
+			// stale entry could service a read of a line an
+			// eviction-set gate just pushed out, making the gate
+			// misread its own output.
+			c.removeInflight(i)
 		}
-		// Entry drained — or the line was evicted after the original
-		// fill (this access is a brand-new miss, re-registered below).
-		// Without the presence check, a stale entry could service a
-		// read of a line an eviction-set gate just pushed out, making
-		// the gate misread its own output.
-		c.removeInflight(i)
 	}
 	if lvl != cache.LevelL1 {
 		c.inflight = append(c.inflight, mshr{line: line, done: issue + lat})
+	}
+	if c.traced && deadline != noDeadline {
+		c.record(trace.KindCacheFill, 0, addr, uint64(lat), "transient fill")
 	}
 	return lat
 }
@@ -771,23 +790,6 @@ func (c *CPU) serialize() {
 		}
 	}
 	c.inflight = live
-}
-
-func alu(op isa.Op, a, b uint64) uint64 {
-	switch op {
-	case isa.ADD:
-		return a + b
-	case isa.SUB:
-		return a - b
-	case isa.AND:
-		return a & b
-	case isa.OR:
-		return a | b
-	case isa.XOR:
-		return a ^ b
-	default:
-		panic("cpu: not an ALU op")
-	}
 }
 
 func maxi(a, b int64) int64 {

@@ -528,6 +528,47 @@ func TestMSHRMerging(t *testing.T) {
 	}
 }
 
+// TestStoreRWaitsForAddress: a committed STORR whose address register a
+// DRAM-missing load produces issues its write-allocate access when the
+// address arrives, as LOADR and a transient STORR do: the store's fill
+// completes a DRAM latency after the load's, and a serializing read
+// waits for it.
+func TestStoreRWaitsForAddress(t *testing.T) {
+	r := newRig()
+	ptr := r.layout.AllocLine("ptr")
+	dst := r.layout.AllocLine("dst")
+	r.cpu.Mem().Write64(ptr.Addr, uint64(dst.Addr))
+	b := isa.NewBuilder(0xC000)
+	b.Label("main").
+		Clflush(ptr, 0).
+		Clflush(dst, 0).
+		Fence().
+		Load(isa.R1, ptr, 0).      // misses to DRAM: the address arrives late
+		StoreR(isa.R1, 8, isa.R2). // write-allocates dst's line
+		Halt()
+	b.Label("read").Rdtsc(isa.R10).Halt()
+	p := b.MustBuild()
+	r.mustRun(t, p, "main") // warm the code lines
+	r.mustRun(t, p, "read")
+	r.mustRun(t, p, "main")
+	fills := r.cpu.Inflight()
+	ptrDone, ok1 := fills[ptr.Addr.Line()]
+	dstDone, ok2 := fills[dst.Addr.Line()]
+	if !ok1 || !ok2 {
+		t.Fatalf("pending fills %v, want ptr's and dst's lines", fills)
+	}
+	if mem := r.cpu.Config().Hierarchy.MemLatency; dstDone-ptrDone < mem {
+		t.Errorf("store fill completes %d cycles after the address load's, want at least the %d-cycle DRAM latency", dstDone-ptrDone, mem)
+	}
+	r.mustRun(t, p, "read")
+	if got := int64(r.cpu.Reg(isa.R10)); got != dstDone {
+		t.Errorf("serializing read at cycle %d, want the store fill's completion %d", got, dstDone)
+	}
+	if got := r.cpu.Mem().Read64(dst.Addr + 8); got != r.cpu.Reg(isa.R2) {
+		t.Errorf("stored %d, want %d", got, r.cpu.Reg(isa.R2))
+	}
+}
+
 func TestRegWriteReadBack(t *testing.T) {
 	r := newRig()
 	r.cpu.SetReg(isa.R5, 777)
