@@ -1,10 +1,6 @@
 package evalharness
 
-import (
-	"fmt"
-
-	"uwm/internal/benchreport"
-)
+import "uwm/internal/benchreport"
 
 // RunResult is the uniform output of one registry experiment: the
 // rendered human-readable text plus the machine-readable metrics that
@@ -82,14 +78,4 @@ func Registry() []Registered {
 		{Name: "health", Run: fromTable("health", GateHealth)},
 		{Name: "circuit", Run: fromTable("circuit", CircuitThroughput)},
 	}
-}
-
-// RunExperiment runs one registry entry by name.
-func RunExperiment(name string, p Params) (*RunResult, error) {
-	for _, r := range Registry() {
-		if r.Name == name {
-			return r.Run(p)
-		}
-	}
-	return nil, fmt.Errorf("evalharness: unknown experiment %q", name)
 }

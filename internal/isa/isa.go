@@ -131,9 +131,6 @@ type Inst struct {
 	Addr            mem.Addr // code address of this instruction
 }
 
-// IsBranch reports whether the instruction is a conditional branch.
-func (i Inst) IsBranch() bool { return i.Op == BRZ || i.Op == BRNZ }
-
 // String disassembles the instruction.
 func (i Inst) String() string {
 	sym := i.Sym

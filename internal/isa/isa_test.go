@@ -219,9 +219,6 @@ func TestOpAndRegStrings(t *testing.T) {
 	if LOAD.String() != "load" || Op(250).String() == "" {
 		t.Error("op strings wrong")
 	}
-	if !((Inst{Op: BRZ}).IsBranch()) || (Inst{Op: JMP}).IsBranch() {
-		t.Error("IsBranch wrong")
-	}
 }
 
 // TestTextMemo checks that Program.Text is each instruction's
