@@ -9,9 +9,11 @@ import (
 	"testing"
 
 	"uwm/internal/benchreport"
+	"uwm/internal/cache"
 	"uwm/internal/circopt"
 	"uwm/internal/core"
 	"uwm/internal/evalharness"
+	"uwm/internal/metrics"
 	"uwm/internal/noise"
 	"uwm/internal/skelly"
 	"uwm/internal/trace"
@@ -108,9 +110,18 @@ func (r *goldenRig) activate(t *testing.T, h hash.Hash, rng *noise.RNG, g int) {
 // finish appends the machine's lifetime counters to h.
 func (r *goldenRig) finish(h hash.Hash) {
 	c := r.m.CPU()
-	hier := c.Hierarchy()
 	fmt.Fprintf(h, "threshold=%d tsc=%d cpu=%+v\n", r.m.Threshold(), c.TSC(), c.Stats())
-	fmt.Fprintf(h, "l1d=%+v l1i=%+v l2=%+v\n", hier.L1D().Stats(), hier.L1I().Stats(), hier.L2().Stats())
+	reg := metrics.NewRegistry()
+	c.Hierarchy().RegisterMetrics(reg)
+	level := func(name string) cache.Stats {
+		n := func(series string) uint64 {
+			v, _ := reg.Value(series, metrics.L("level", name))
+			return uint64(v)
+		}
+		return cache.Stats{Hits: n(cache.MetricHits), Misses: n(cache.MetricMisses),
+			Evictions: n(cache.MetricEvictions), Flushes: n(cache.MetricFlushes)}
+	}
+	fmt.Fprintf(h, "l1d=%+v l1i=%+v l2=%+v\n", level("L1D"), level("L1I"), level("L2"))
 }
 
 func digest(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }

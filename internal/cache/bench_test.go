@@ -36,7 +36,7 @@ func BenchmarkHierarchyFetchSameLine(b *testing.B) {
 			cycles += lat
 		}
 	}
-	if cycles != int64(b.N)*h.Config().L1I.Latency {
+	if cycles != int64(b.N)*h.cfg.L1I.Latency {
 		b.Fatalf("%d fetches took %d cycles, want L1I hits", b.N, cycles)
 	}
 }

@@ -198,9 +198,6 @@ func New(cfg Config) *Cache {
 // Config returns the cache's geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Stats returns access counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // SetIndex returns the set index of addr in this cache.
 func (c *Cache) SetIndex(addr mem.Addr) int {
 	n := uint64(addr) / mem.LineSize
@@ -270,20 +267,9 @@ func (c *Cache) Access(addr mem.Addr) bool {
 	return false
 }
 
-// Insert fills addr's line, evicting the policy's victim if the set is
-// full. It returns the evicted line address, if any.
-func (c *Cache) Insert(addr mem.Addr) (evicted mem.Addr, didEvict bool) {
-	s, set := c.set(addr)
-	// Already present: just touch.
-	if w := wayOf(set, addr.Line()|lineValid); w >= 0 {
-		c.touch(s, w)
-		return 0, false
-	}
-	return c.fill(addr)
-}
-
-// fill is Insert for a line known to be absent, as it is right after
-// an Access of it missed: it skips Insert's presence scan.
+// fill fills addr's line, known to be absent as it is right after an
+// Access of it missed, evicting the policy's victim if the set is full.
+// It returns the evicted line address, if any.
 func (c *Cache) fill(addr mem.Addr) (evicted mem.Addr, didEvict bool) {
 	s, set := c.set(addr)
 	tag := addr.Line() | lineValid
@@ -328,31 +314,4 @@ func (c *Cache) FlushAll() {
 	} else {
 		c.lru.Reset()
 	}
-}
-
-// SetContents returns the line addresses currently valid in addr's set,
-// a diagnostic probe for eviction-set debugging.
-func (c *Cache) SetContents(addr mem.Addr) []mem.Addr {
-	_, set := c.set(addr)
-	var out []mem.Addr
-	for _, l := range set {
-		if l != 0 {
-			out = append(out, l&^lineValid)
-		}
-	}
-	return out
-}
-
-// SetOccupancy returns how many ways of addr's set are valid, used by
-// eviction-set constructions (the NOT/NAND gates evict a line by filling
-// its set).
-func (c *Cache) SetOccupancy(addr mem.Addr) int {
-	_, set := c.set(addr)
-	n := 0
-	for _, l := range set {
-		if l != 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -77,7 +77,7 @@ func TestFlushAllAndStats(t *testing.T) {
 		}
 	}
 	c.Access(addrIn(c, 0, 0))
-	st := c.Stats()
+	st := c.stats
 	if st.Misses == 0 {
 		t.Error("stats not counting misses")
 	}
@@ -150,7 +150,7 @@ func TestTreePLRUNonPowerOfTwoPanics(t *testing.T) {
 
 func TestHierarchyLatencies(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchyConfig())
-	cfg := h.Config()
+	cfg := h.cfg
 	addr := mem.Addr(0x4000)
 
 	lat, lvl := h.LoadData(addr)
@@ -162,7 +162,7 @@ func TestHierarchyLatencies(t *testing.T) {
 		t.Errorf("warm load: lat=%d lvl=%v", lat, lvl)
 	}
 	// Evict from L1 only (flush L1D directly) → next access is L2.
-	h.L1D().Flush(addr)
+	h.l1d.Flush(addr)
 	lat, lvl = h.LoadData(addr)
 	if lvl != LevelL2 || lat != cfg.L1D.Latency+cfg.L2.Latency {
 		t.Errorf("L2 load: lat=%d lvl=%v", lat, lvl)
@@ -174,7 +174,7 @@ func TestHierarchyFlushRemovesEverywhere(t *testing.T) {
 	addr := mem.Addr(0x8000)
 	h.LoadData(addr)
 	h.FlushData(addr)
-	if h.DataCached(addr) || h.L2().Contains(addr) {
+	if h.l1d.Contains(addr) || h.l2.Contains(addr) {
 		t.Error("flush left the line somewhere")
 	}
 	if _, lvl := h.LoadData(addr); lvl != LevelMem {
@@ -188,18 +188,18 @@ func TestInclusionBackInvalidate(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchyConfig())
 	victim := mem.Addr(0x10000)
 	h.LoadData(victim)
-	if !h.DataCached(victim) {
+	if !h.l1d.Contains(victim) {
 		t.Fatal("victim not in L1D")
 	}
 	// L2 set stride: sets × line size.
-	stride := mem.Addr(h.L2().Config().Sets * mem.LineSize)
-	for i := 1; i <= h.L2().Config().Ways; i++ {
+	stride := mem.Addr(h.l2.Config().Sets * mem.LineSize)
+	for i := 1; i <= h.l2.Config().Ways; i++ {
 		h.LoadData(victim + mem.Addr(i)*stride)
 	}
-	if h.L2().Contains(victim) {
+	if h.l2.Contains(victim) {
 		t.Error("victim survived an L2 eviction-set sweep")
 	}
-	if h.DataCached(victim) {
+	if h.l1d.Contains(victim) {
 		t.Error("back-invalidation failed: victim still in L1D after L2 eviction")
 	}
 }
@@ -208,25 +208,27 @@ func TestInstDataSplit(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchyConfig())
 	addr := mem.Addr(0x2000)
 	h.FetchInst(addr)
-	if !h.InstCached(addr) {
+	if !h.l1i.Contains(addr) {
 		t.Error("fetch did not fill L1I")
 	}
-	if h.DataCached(addr) {
+	if h.l1d.Contains(addr) {
 		t.Error("instruction fetch filled L1D")
 	}
 	// But both share L2.
-	if !h.L2().Contains(addr) {
+	if !h.l2.Contains(addr) {
 		t.Error("fetch did not fill unified L2")
 	}
 }
 
+// TestStoreIsWriteAllocate: the cpu issues a store as a LoadData, so a
+// cold store fills the line like a load does.
 func TestStoreIsWriteAllocate(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchyConfig())
 	addr := mem.Addr(0x3000)
-	if _, lvl := h.StoreData(addr); lvl != LevelMem {
+	if _, lvl := h.LoadData(addr); lvl != LevelMem {
 		t.Error("cold store level wrong")
 	}
-	if !h.DataCached(addr) {
+	if !h.l1d.Contains(addr) {
 		t.Error("store did not allocate the line")
 	}
 }

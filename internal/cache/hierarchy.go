@@ -71,21 +71,14 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	}
 }
 
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
-// L1D returns the level-1 data cache (for probes and stats).
-func (h *Hierarchy) L1D() *Cache { return h.l1d }
-
-// L1I returns the level-1 instruction cache.
-func (h *Hierarchy) L1I() *Cache { return h.l1i }
-
 // L2 returns the unified level-2 cache.
 func (h *Hierarchy) L2() *Cache { return h.l2 }
 
 // LoadData performs a data access to addr: it returns the latency in
 // cycles and the level that served it, and fills all missed levels
-// (inclusive hierarchy).
+// (inclusive hierarchy). Stores use it too: the model is
+// write-allocate, and a store is how a speculative body sets an output
+// DC-WR ("out_c = 42").
 func (h *Hierarchy) LoadData(addr mem.Addr) (int64, Level) {
 	if h.l1d.Access(addr) {
 		return h.cfg.L1D.Latency, LevelL1
@@ -97,13 +90,6 @@ func (h *Hierarchy) LoadData(addr mem.Addr) (int64, Level) {
 	h.fillL2(addr)
 	h.l1d.fill(addr)
 	return h.cfg.L1D.Latency + h.cfg.L2.Latency + h.cfg.MemLatency, LevelMem
-}
-
-// StoreData performs a data store. The model is write-allocate, so the
-// timing and fill behaviour match LoadData; stores are what speculative
-// bodies use to set an output DC-WR ("out_c = 42").
-func (h *Hierarchy) StoreData(addr mem.Addr) (int64, Level) {
-	return h.LoadData(addr)
 }
 
 // FetchInst performs an instruction fetch of the line containing addr.
@@ -156,13 +142,6 @@ func (h *Hierarchy) FlushData(addr mem.Addr) {
 
 // FlushInst removes a code line from every level (clflush on code).
 func (h *Hierarchy) FlushInst(addr mem.Addr) { h.FlushData(addr) }
-
-// DataCached reports (without perturbing recency) whether addr hits in
-// L1D — the probe used by tests and by the defender model.
-func (h *Hierarchy) DataCached(addr mem.Addr) bool { return h.l1d.Contains(addr) }
-
-// InstCached reports whether addr's line is in L1I.
-func (h *Hierarchy) InstCached(addr mem.Addr) bool { return h.l1i.Contains(addr) }
 
 // FlushAll empties every level.
 func (h *Hierarchy) FlushAll() {

@@ -288,8 +288,8 @@ func checkAgainstReference(t *testing.T, cfg Config, seed uint64, next addrSourc
 			c.FlushAll()
 			ref.FlushAll()
 		}
-		if c.Stats() != ref.stats {
-			t.Fatalf("step %d %s: stats %+v, reference %+v", step, op, c.Stats(), ref.stats)
+		if c.stats != ref.stats {
+			t.Fatalf("step %d %s: stats %+v, reference %+v", step, op, c.stats, ref.stats)
 		}
 		if got, want := c.SetContents(addr), ref.SetContents(addr); !slices.Equal(got, want) {
 			t.Fatalf("step %d %s: set contents %#x, reference %#x", step, op, got, want)
@@ -407,9 +407,9 @@ func TestHierarchyMatchesReference(t *testing.T) {
 				for _, p := range []struct {
 					c   *Cache
 					ref *refCache
-				}{{h.L1D(), ref.l1d}, {h.L1I(), ref.l1i}, {h.L2(), ref.l2}} {
-					if p.c.Stats() != p.ref.stats {
-						t.Fatalf("step %d %c(%#x): %s stats %+v, reference %+v", step, op, uint64(addr), p.c.Config().Name, p.c.Stats(), p.ref.stats)
+				}{{h.l1d, ref.l1d}, {h.l1i, ref.l1i}, {h.l2, ref.l2}} {
+					if p.c.stats != p.ref.stats {
+						t.Fatalf("step %d %c(%#x): %s stats %+v, reference %+v", step, op, uint64(addr), p.c.Config().Name, p.c.stats, p.ref.stats)
 					}
 					if got, want := p.c.SetContents(addr), p.ref.SetContents(addr); !slices.Equal(got, want) {
 						t.Fatalf("step %d %c(%#x): %s set contents %#x, reference %#x", step, op, uint64(addr), p.c.Config().Name, got, want)

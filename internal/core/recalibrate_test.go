@@ -94,7 +94,7 @@ func TestRecalibrateTracksDrift(t *testing.T) {
 func TestCalibrationEventsEmitted(t *testing.T) {
 	rec := trace.NewRecorder(0)
 	m := MustNewMachine(Options{Seed: 3, Sink: rec})
-	evs := rec.Filter(trace.KindCalibration)
+	evs := ofKind(rec, trace.KindCalibration)
 	if len(evs) != 1 {
 		t.Fatalf("calibration events after construction = %d, want 1", len(evs))
 	}
@@ -110,7 +110,7 @@ func TestCalibrationEventsEmitted(t *testing.T) {
 	if err := m.Recalibrate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Count(trace.KindCalibration); got != 2 {
+	if got := len(ofKind(rec, trace.KindCalibration)); got != 2 {
 		t.Errorf("calibration events after Recalibrate = %d, want 2", got)
 	}
 }
@@ -121,7 +121,7 @@ func TestCalibrationEventsEmitted(t *testing.T) {
 func TestHealthTap(t *testing.T) {
 	tap := trace.NewRecorder(0)
 	m := MustNewMachine(Options{Seed: 6, TrainIterations: 4, HealthTap: tap})
-	if got := tap.Count(trace.KindCalibration); got != 1 {
+	if got := len(ofKind(tap, trace.KindCalibration)); got != 1 {
 		t.Fatalf("tap calibrations = %d, want 1", got)
 	}
 	g, err := NewTSXAnd(m)
@@ -131,7 +131,7 @@ func TestHealthTap(t *testing.T) {
 	if _, err := g.Run(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := tap.Count(trace.KindTimedRead); got == 0 {
+	if got := len(ofKind(tap, trace.KindTimedRead)); got == 0 {
 		t.Error("tap saw no timed reads")
 	}
 	for _, e := range tap.Events() {
@@ -148,7 +148,7 @@ func TestAnnotate(t *testing.T) {
 	m := MustNewMachine(Options{Seed: 4, Sink: rec})
 
 	m.Annotate("orphan=1") // no span open: dropped
-	if rec.Count(trace.KindAnnotation) != 0 {
+	if len(ofKind(rec, trace.KindAnnotation)) != 0 {
 		t.Fatal("annotation emitted with no open span")
 	}
 
@@ -156,7 +156,7 @@ func TestAnnotate(t *testing.T) {
 	m.Annotate("request_id=abc123")
 	m.EndSpan(id)
 
-	evs := rec.Filter(trace.KindAnnotation)
+	evs := ofKind(rec, trace.KindAnnotation)
 	if len(evs) != 1 {
 		t.Fatalf("annotations = %d, want 1", len(evs))
 	}
@@ -175,4 +175,15 @@ func TestAnnotate(t *testing.T) {
 	id2 := m2.BeginSpan("job:test")
 	m2.Annotate("k=v")
 	m2.EndSpan(id2)
+}
+
+// ofKind returns the recorded events of kind k.
+func ofKind(r *trace.Recorder, k trace.Kind) []trace.Event {
+	var out []trace.Event
+	for _, e := range r.Events() {
+		if e.Kind == k {
+			out = append(out, e)
+		}
+	}
+	return out
 }

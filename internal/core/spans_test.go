@@ -21,8 +21,8 @@ func TestSpanNestingAndParents(t *testing.T) {
 		t.Fatalf("OpenSpans = %d after closing, want 0", m.OpenSpans())
 	}
 
-	begins := rec.Filter(trace.KindSpanBegin)
-	ends := rec.Filter(trace.KindSpanEnd)
+	begins := ofKind(rec, trace.KindSpanBegin)
+	ends := ofKind(rec, trace.KindSpanEnd)
 	if len(begins) != 2 || len(ends) != 2 {
 		t.Fatalf("begins=%d ends=%d, want 2/2", len(begins), len(ends))
 	}
@@ -49,7 +49,7 @@ func TestEndSpanClosesAbandonedChildren(t *testing.T) {
 	if m.OpenSpans() != 0 {
 		t.Fatalf("OpenSpans = %d, want 0", m.OpenSpans())
 	}
-	if n := len(rec.Filter(trace.KindSpanEnd)); n != 2 {
+	if n := len(ofKind(rec, trace.KindSpanEnd)); n != 2 {
 		t.Fatalf("span ends = %d, want 2 (child closed with parent)", n)
 	}
 	// A double close must not disturb later spans.
@@ -80,8 +80,8 @@ func TestGateActivationEmitsBalancedSpans(t *testing.T) {
 	if _, err := tsx.Run(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	begins := rec.Filter(trace.KindSpanBegin)
-	ends := rec.Filter(trace.KindSpanEnd)
+	begins := ofKind(rec, trace.KindSpanBegin)
+	ends := ofKind(rec, trace.KindSpanEnd)
 	if len(begins) == 0 || len(begins) != len(ends) {
 		t.Fatalf("unbalanced spans: %d begins, %d ends", len(begins), len(ends))
 	}

@@ -107,12 +107,6 @@ func (c *CPU) addMulPressure(n float64) {
 	c.mulPressure += n
 }
 
-// MulPressure exposes the current (decayed) multiply-unit pressure for
-// tests of the contention weird register.
-func (c *CPU) MulPressure() float64 {
-	return decayPressure(c.mulPressure, c.mulStamp, c.clock, c.cfg.MulPressureHalfLife, c.mulDecay)
-}
-
 // trackChain updates ROB pressure: a destination register that feeds the
 // immediately following instruction extends a dependency chain, filling
 // the reorder buffer with waiting entries. Zero pressure decays to
@@ -156,10 +150,4 @@ func (c *CPU) stallROB() {
 	if c.cfg.ROBStallFactor > 0 {
 		c.clock += int64(p * c.cfg.ROBStallFactor)
 	}
-}
-
-// ROBPressure exposes the current (decayed) reorder-buffer pressure for
-// tests of the contention weird register.
-func (c *CPU) ROBPressure() float64 {
-	return decayPressure(c.robPressure, c.robStamp, c.clock, c.cfg.ROBPressureHalfLife, c.robDecay)
 }

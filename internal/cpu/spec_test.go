@@ -31,7 +31,7 @@ func TestSpecFollowsJmp(t *testing.T) {
 	// Warm the code (first transient execution needs cached lines).
 	r.mustRun(t, p, "fire")
 	r.mustRun(t, p, "fire")
-	if !r.cpu.Hierarchy().DataCached(out.Addr) {
+	if !l1dHit(r.cpu, out.Addr) {
 		t.Error("transient path did not follow the jmp")
 	}
 }
@@ -61,10 +61,10 @@ func TestSpecBranchFollowsResolvedDirection(t *testing.T) {
 	p := b.MustBuild()
 	r.mustRun(t, p, "fire")
 	r.mustRun(t, p, "fire") // warmed
-	if r.cpu.Hierarchy().DataCached(outA.Addr) {
+	if l1dHit(r.cpu, outA.Addr) {
 		t.Error("transient branch took the wrong (not-taken) path")
 	}
-	if !r.cpu.Hierarchy().DataCached(outB.Addr) {
+	if !l1dHit(r.cpu, outB.Addr) {
 		t.Error("transient branch did not reach the taken path")
 	}
 }
@@ -88,7 +88,7 @@ func TestSpecNestedFaultStops(t *testing.T) {
 	p := b.MustBuild()
 	r.mustRun(t, p, "fire")
 	r.mustRun(t, p, "fire")
-	if r.cpu.Hierarchy().DataCached(out.Addr) {
+	if l1dHit(r.cpu, out.Addr) {
 		t.Error("store executed past a nested transient fault")
 	}
 }
@@ -123,7 +123,7 @@ func TestSpecInstructionCap(t *testing.T) {
 	if _, err := c.Run(p, "fire"); err != nil {
 		t.Fatal(err)
 	}
-	if c.Hierarchy().DataCached(out.Addr) {
+	if l1dHit(c, out.Addr) {
 		t.Error("store executed past the spec instruction cap")
 	}
 }
@@ -154,7 +154,7 @@ func TestSpecFenceWaitsForChains(t *testing.T) {
 	r.cpu.Hierarchy().FlushData(out.Addr)
 	r.cpu.Hierarchy().FlushData(in.Addr)
 	r.mustRun(t, p, "fire")
-	if r.cpu.Hierarchy().DataCached(out.Addr) {
+	if l1dHit(r.cpu, out.Addr) {
 		t.Error("post-fence store issued inside the window despite the pending miss")
 	}
 }

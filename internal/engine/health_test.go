@@ -172,7 +172,7 @@ func TestRequestIDAnnotation(t *testing.T) {
 		t.Errorf("snapshot request id = %q", snap.RequestID)
 	}
 
-	anns := rec.Filter(trace.KindAnnotation)
+	anns := ofKind(rec, trace.KindAnnotation)
 	if len(anns) == 0 {
 		t.Fatal("no annotation events recorded")
 	}
@@ -190,7 +190,7 @@ func TestRequestIDAnnotation(t *testing.T) {
 	}
 	// The annotation must point at the job span it decorates.
 	found := false
-	for _, e := range rec.Filter(trace.KindSpanBegin) {
+	for _, e := range ofKind(rec, trace.KindSpanBegin) {
 		if e.Value == hit.Addr && strings.HasPrefix(e.Text, "job:") {
 			found = true
 		}
@@ -244,4 +244,15 @@ func TestRetryReasonLabels(t *testing.T) {
 	if got := reg.Counter(MetricDisagreements, "", typeL).Value(); got != 2 {
 		t.Errorf("disagreements = %d, want 2", got)
 	}
+}
+
+// ofKind returns the recorded events of kind k.
+func ofKind(r *trace.Recorder, k trace.Kind) []trace.Event {
+	var out []trace.Event
+	for _, e := range r.Events() {
+		if e.Kind == k {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -69,6 +70,7 @@ func TestSLODriftBurnsBudgetFiresAndReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, sub := sloEng.Subscribe()
 	e := newTestEngine(t, Config{
 		Workers: 1, FlightRec: fr, Metrics: reg, SLO: sloEng, Log: log,
 	})
@@ -101,7 +103,7 @@ func TestSLODriftBurnsBudgetFiresAndReplays(t *testing.T) {
 	if n := sloEng.Firing(); n == 0 {
 		t.Fatal("drift burned no alert")
 	}
-	timeline := sloEng.Timeline()
+	timeline := drainTransitions(sub)
 	if len(timeline) == 0 {
 		t.Fatal("no transitions recorded")
 	}
@@ -173,21 +175,35 @@ func TestSLODriftBurnsBudgetFiresAndReplays(t *testing.T) {
 		t.Fatalf("drain before replay: %v", err)
 	}
 
-	// Offline replay: decode the journal, feed it through a fresh
-	// engine, and require the identical timeline — byte-for-byte.
-	records, err := evlog.DecodeJSONL(&journal)
+	// Offline replay: feed the journal's observations through a fresh
+	// engine and require the identical timeline — byte-for-byte.
+	replayed, err := slo.New(slo.Config{SLOs: tightGateSLO()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := slo.Replay(records, slo.Config{SLOs: tightGateSLO()})
-	if err != nil {
-		t.Fatal(err)
+	_, replaySub := replayed.Subscribe()
+	dec := json.NewDecoder(&journal)
+	for {
+		var r evlog.Record
+		if err := dec.Decode(&r); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if r.Component != slo.Component || r.Event != slo.ObserveEvent {
+			continue
+		}
+		var obs slo.Observation
+		if err := json.Unmarshal(r.Data, &obs); err != nil {
+			t.Fatal(err)
+		}
+		replayed.Observe(obs)
 	}
 	liveJSON, err := json.Marshal(timeline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayJSON, err := json.Marshal(replayed.Timeline())
+	replayJSON, err := json.Marshal(drainTransitions(replaySub))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,5 +259,21 @@ func TestEngineJournalsOperationalEvents(t *testing.T) {
 	}
 	if !observe {
 		t.Fatal("no slo.observe record journaled for the terminal job")
+	}
+}
+
+// drainTransitions returns the transitions waiting on a subscription.
+func drainTransitions(sub <-chan slo.Transition) []slo.Transition {
+	var out []slo.Transition
+	for {
+		select {
+		case tr, ok := <-sub:
+			if !ok {
+				return out
+			}
+			out = append(out, tr)
+		default:
+			return out
+		}
 	}
 }

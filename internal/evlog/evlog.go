@@ -9,9 +9,8 @@
 // engine crossed on the way there — all three keyed by the same ids.
 //
 // Records are plain JSON lines, so the recorded stream doubles as a
-// replayable input: slo.Replay re-feeds the observation records through
-// a fresh SLO engine and reproduces the live alert timeline
-// byte-for-byte (the records carry their own timestamps, and the SLO
+// replayable input: re-feeding the observation records through a fresh
+// SLO engine reproduces the live alert transitions byte-for-byte (the records carry their own timestamps, and the SLO
 // engine evaluates only at observation boundaries).
 //
 // Rate limiting is a per-(component, event) token bucket: bursts pass,
@@ -25,7 +24,6 @@ package evlog
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -363,22 +361,4 @@ func (l *Logger) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.werr
-}
-
-// DecodeJSONL parses a recorded JSONL stream back into records —
-// the replay side of the log. Blank lines are skipped; a malformed
-// line fails the decode with its line number, because a replay against
-// a silently truncated stream would fabricate a wrong timeline.
-func DecodeJSONL(r io.Reader) ([]Record, error) {
-	dec := json.NewDecoder(r)
-	var out []Record
-	for i := 1; ; i++ {
-		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("evlog: record %d: %w", i, err)
-		}
-		out = append(out, rec)
-	}
 }

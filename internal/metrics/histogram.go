@@ -6,8 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-
-	"uwm/internal/stats"
 )
 
 // Histogram is a fixed-bucket histogram with atomically updated
@@ -143,15 +141,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Mean returns the average observation, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // lowerEdge returns the inclusive lower edge of bucket i.
 func (h *Histogram) lowerEdge(i int) float64 {
 	if i == 0 {
@@ -209,33 +198,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return h.bounds[len(h.bounds)-1]
 	}
 	return 0
-}
-
-// Bins converts the histogram to stats.Bin buckets, reusing the stats
-// package's histogram representation so the result can be rendered
-// with stats.RenderHistogram. The open top bucket is rendered with a
-// synthetic upper edge one bucket-width above the last bound.
-func (h *Histogram) Bins() []stats.Bin {
-	if h == nil || len(h.bounds) == 0 {
-		return nil
-	}
-	out := make([]stats.Bin, 0, len(h.counts))
-	for i := range h.counts {
-		lo := h.lowerEdge(i)
-		var hi float64
-		if i < len(h.bounds) {
-			hi = h.bounds[i]
-		} else {
-			last := h.bounds[len(h.bounds)-1]
-			width := last
-			if len(h.bounds) > 1 {
-				width = last - h.bounds[len(h.bounds)-2]
-			}
-			hi = last + width
-		}
-		out = append(out, stats.Bin{Lo: lo, Hi: hi, Count: int(h.counts[i].Load())})
-	}
-	return out
 }
 
 // writeText renders the histogram in Prometheus exposition form:

@@ -260,21 +260,6 @@ func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
 	return e.scalar(), true
 }
 
-// HistogramValue returns the histogram registered under name+labels,
-// or nil.
-func (r *Registry) HistogramValue(name string, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	e, ok := r.index[seriesKey(name, labels)]
-	r.mu.Unlock()
-	if !ok || e.kind != kindHistogram {
-		return nil
-	}
-	return e.hist
-}
-
 // formatLabels renders {k="v",...} or "".
 func formatLabels(labels []Label, extra ...Label) string {
 	all := append(append([]Label(nil), labels...), extra...)

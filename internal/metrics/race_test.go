@@ -39,7 +39,7 @@ func TestConcurrentScrapeWhileEmitting(t *testing.T) {
 				return
 			}
 			r.Value("uwm_race_total")
-			r.HistogramValue("uwm_race_hist")
+			r.Histogram("uwm_race_hist", "shared histogram", []float64{1, 10, 100}).Count()
 		}
 	}()
 

@@ -35,7 +35,7 @@ func BenchmarkGateOpNoRedundancy(b *testing.B) {
 // BenchmarkGateOpPaperRedundancy measures one logical AND at the
 // paper's s=10/k=3/n=5 (50 weird-gate activations per op).
 func BenchmarkGateOpPaperRedundancy(b *testing.B) {
-	s := benchSkelly(b, DefaultConfig())
+	s := benchSkelly(b, Config{S: 10, K: 3, N: 5, Verify: true})
 	rng := noise.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -45,10 +45,6 @@ type Config struct {
 	AbortOnError bool
 }
 
-// DefaultConfig mirrors the paper's conservative SHA-1 parameters:
-// s=10, k=3, n=5 (§5.2).
-func DefaultConfig() Config { return Config{S: 10, K: 3, N: 5, Verify: true} }
-
 // FastConfig disables redundancy for tests and interactive use.
 func FastConfig() Config { return Config{S: 1, K: 1, N: 1} }
 
@@ -200,24 +196,12 @@ func (s *Skelly) Gate(name string) *core.BPGate {
 	}
 }
 
-// Config returns the redundancy configuration.
-func (s *Skelly) Config() Config { return s.cfg }
-
 // Counters returns the instrumentation for one gate type.
 func (s *Skelly) Counters(gate string) Counters {
 	if c, ok := s.counters[gate]; ok {
 		return *c
 	}
 	return Counters{}
-}
-
-// ResetCounters zeroes all instrumentation.
-func (s *Skelly) ResetCounters() {
-	for _, c := range s.counters {
-		*c = Counters{}
-	}
-	s.totalOps = 0
-	s.visible = 0
 }
 
 // MarkVisible records that n gate results were stored into
@@ -399,13 +383,7 @@ func Word32(bits []int) uint32 {
 	return v
 }
 
-// And32 returns a AND b computed bitwise on weird gates.
-func (s *Skelly) And32(a, b uint32) (uint32, error) { return s.map32("circuit:and32", s.And, a, b) }
-
-// Or32 returns a OR b bitwise.
-func (s *Skelly) Or32(a, b uint32) (uint32, error) { return s.map32("circuit:or32", s.Or, a, b) }
-
-// Xor32 returns a XOR b bitwise.
+// Xor32 returns a XOR b computed bitwise on weird gates.
 func (s *Skelly) Xor32(a, b uint32) (uint32, error) { return s.map32("circuit:xor32", s.Xor, a, b) }
 
 // Not32 returns NOT a bitwise.
@@ -460,6 +438,3 @@ func (s *Skelly) Add32(a, b uint32) (uint32, error) {
 // RotL32 rotates left by n bits — pure wiring, no gates (§6.2 lists
 // 32-bit left shift/rotate among skelly's convenience functions).
 func RotL32(v uint32, n uint) uint32 { return v<<(n&31) | v>>((32-n)&31) }
-
-// ShL32 shifts left by n bits — wiring only.
-func ShL32(v uint32, n uint) uint32 { return v << (n & 31) }

@@ -37,8 +37,6 @@ type Config struct {
 }
 
 const (
-	// maxTimeline bounds the retained transition history.
-	maxTimeline = 512
 	// traceRing bounds the per-SLO ring of budget-burning trace ids an
 	// alert names.
 	traceRing = 8
@@ -76,14 +74,13 @@ type sloState struct {
 
 // Engine evaluates SLOs. All methods are safe for concurrent use; the
 // nil engine is valid and disabled. State changes happen only inside
-// Observe — Status, Alerts and Timeline are read-only views.
+// Observe — Status and Alerts are read-only views.
 type Engine struct {
 	mu      sync.Mutex
 	states  []*sloState
 	log     *evlog.Logger
 	pinner  TracePinner
 	clock   func() time.Time
-	timeln  []Transition
 	subs    map[int]chan Transition
 	nextSub int
 	closed  bool
@@ -304,14 +301,9 @@ func (e *Engine) evaluateLocked(now time.Time) {
 	}
 }
 
-// transitionLocked appends to the timeline, journals, and fans out to
+// transitionLocked journals a transition and fans it out to
 // subscribers.
 func (e *Engine) transitionLocked(tr Transition, event string, level evlog.Level) {
-	if len(e.timeln) >= maxTimeline {
-		copy(e.timeln, e.timeln[1:])
-		e.timeln = e.timeln[:len(e.timeln)-1]
-	}
-	e.timeln = append(e.timeln, tr)
 	if e.log != nil {
 		data, err := json.Marshal(tr)
 		if err == nil {
@@ -469,19 +461,6 @@ func (e *Engine) Firing() int {
 		}
 	}
 	return n
-}
-
-// Timeline returns the retained transitions, oldest first. Marshaling
-// this slice is the byte-for-byte replay comparison surface.
-func (e *Engine) Timeline() []Transition {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Transition, len(e.timeln))
-	copy(out, e.timeln)
-	return out
 }
 
 // Subscribe registers a transition listener. Sends never block: a slow

@@ -9,10 +9,10 @@
 // inside Observe, evaluated at the observation's own timestamp, and
 // every observation is journaled to the structured event log before it
 // is evaluated. That makes the alert timeline a pure function of the
-// observation stream — Replay feeds a recorded event log through a
-// fresh engine and reproduces the live fire/resolve timeline
-// byte-for-byte, the same live==offline contract the health monitor
-// and flight recorder already honor.
+// observation stream: feeding a recorded event log's slo.observe
+// records through a fresh engine reproduces the live fire/resolve
+// transitions byte-for-byte, the same live==offline contract the
+// health monitor and flight recorder already honor.
 //
 // Alerts correlate, not just aggregate: each SLO keeps a short ring of
 // the trace ids that burned its budget, a firing alert carries those

@@ -144,6 +144,7 @@ func TestFireResolveHysteresisAndPinning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, sub := eng.Subscribe()
 
 	// 10 good jobs: no alert, burn 0.
 	for i := 0; i < 10; i++ {
@@ -173,7 +174,7 @@ func TestFireResolveHysteresisAndPinning(t *testing.T) {
 	if len(pin.pinned) != wantPinned {
 		t.Fatalf("pinned %d traces, want %d: %v", len(pin.pinned), wantPinned, pin.pinned)
 	}
-	tl := eng.Timeline()
+	tl := drain(sub)
 	if len(tl) != 1 || tl[0].State != StateFiring || tl[0].Severity != SeverityPage {
 		t.Fatalf("timeline = %+v", tl)
 	}
@@ -208,7 +209,7 @@ func TestFireResolveHysteresisAndPinning(t *testing.T) {
 	if len(pin.unpinned) != wantPinned {
 		t.Fatalf("unpinned %d, want %d: %v", len(pin.unpinned), wantPinned, pin.unpinned)
 	}
-	tl = eng.Timeline()
+	tl = append(tl, drain(sub)...)
 	if len(tl) != 2 || tl[1].State != StateResolved {
 		t.Fatalf("timeline after resolve = %+v", tl)
 	}
@@ -319,6 +320,7 @@ func TestObserveJournalAndReplayByteForByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, liveSub := live.Subscribe()
 
 	for i := 0; i < 10; i++ {
 		live.Observe(obsAt(clk.Now(), "done"))
@@ -333,24 +335,17 @@ func TestObserveJournalAndReplayByteForByte(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		live.Observe(obsAt(clk.Now(), "done"))
 	}
-	liveTL := live.Timeline()
+	liveTL := drain(liveSub)
 	if len(liveTL) != 2 {
 		t.Fatalf("live timeline = %+v, want fire+resolve", liveTL)
 	}
 
-	records, err := evlog.DecodeJSONL(&journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := Replay(records, Config{SLOs: defs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := journal.Bytes()
 	liveJSON, err := json.Marshal(liveTL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayJSON, err := json.Marshal(replayed.Timeline())
+	replayJSON, err := json.Marshal(replay(t, bytes.NewReader(records), defs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,13 +353,7 @@ func TestObserveJournalAndReplayByteForByte(t *testing.T) {
 		t.Fatalf("replay diverged:\nlive:   %s\nreplay: %s", liveJSON, replayJSON)
 	}
 	// The journal also carries the transition records themselves.
-	fires := 0
-	for _, r := range records {
-		if r.Event == FireEvent {
-			fires++
-		}
-	}
-	if fires != 1 {
+	if fires := bytes.Count(records, []byte(`"event":"`+FireEvent+`"`)); fires != 1 {
 		t.Fatalf("journal has %d fire records, want 1", fires)
 	}
 }
@@ -403,7 +392,7 @@ func TestSubscribeDeliversTransitions(t *testing.T) {
 func TestNilEngineIsSafe(t *testing.T) {
 	var e *Engine
 	e.Observe(Observation{})
-	if e.Status(epoch()) != nil || e.Alerts() != nil || e.Timeline() != nil || e.Firing() != 0 {
+	if e.Status(epoch()) != nil || e.Alerts() != nil || e.Firing() != 0 {
 		t.Fatal("nil engine leaked state")
 	}
 	e.Close()

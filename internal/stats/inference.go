@@ -5,83 +5,10 @@ import (
 	"sort"
 )
 
-// This file extends the descriptive toolkit with the two inferential
-// pieces the bench-report comparator needs: Student-t confidence
-// intervals around a sample mean, and the Mann-Whitney U rank-sum test
+// This file extends the descriptive toolkit with the inferential piece
+// the bench-report comparator needs: the Mann-Whitney U rank-sum test
 // that benchstat popularised for deciding whether two benchmark runs
 // actually differ or merely wobble.
-
-// Interval is a two-sided confidence interval around a sample mean.
-type Interval struct {
-	Mean       float64
-	Lo, Hi     float64
-	Confidence float64 // e.g. 0.95
-	N          int
-}
-
-// MeanCI returns the two-sided confidence interval for the mean of xs
-// at the given confidence level (0.90, 0.95 or 0.99; other values are
-// clamped to the nearest supported level). With fewer than two samples
-// the interval collapses to the point estimate.
-func MeanCI(xs []float64, confidence float64) Interval {
-	s := Summarize(xs)
-	iv := Interval{Mean: s.Mean, Lo: s.Mean, Hi: s.Mean, Confidence: confidence, N: s.N}
-	if s.N < 2 {
-		return iv
-	}
-	se := s.StdDev / math.Sqrt(float64(s.N))
-	h := tCritical(s.N-1, confidence) * se
-	iv.Lo, iv.Hi = s.Mean-h, s.Mean+h
-	return iv
-}
-
-// tTable holds two-sided Student-t critical values per confidence
-// level, indexed by degrees of freedom 1..30 followed by the entries
-// for df = 40, 60, 120 and ∞ (the normal quantile).
-var tTable = map[float64][]float64{
-	0.90: {6.314, 2.920, 2.353, 2.132, 2.015, 1.943, 1.895, 1.860, 1.833, 1.812,
-		1.796, 1.782, 1.771, 1.761, 1.753, 1.746, 1.740, 1.734, 1.729, 1.725,
-		1.721, 1.717, 1.714, 1.711, 1.708, 1.706, 1.703, 1.701, 1.699, 1.697,
-		1.684, 1.671, 1.658, 1.645},
-	0.95: {12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
-		2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
-		2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
-		2.021, 2.000, 1.980, 1.960},
-	0.99: {63.657, 9.925, 5.841, 4.604, 4.032, 3.707, 3.499, 3.355, 3.250, 3.169,
-		3.106, 3.055, 3.012, 2.977, 2.947, 2.921, 2.898, 2.878, 2.861, 2.845,
-		2.831, 2.819, 2.807, 2.797, 2.787, 2.779, 2.771, 2.763, 2.756, 2.750,
-		2.704, 2.660, 2.617, 2.576},
-}
-
-// tCritical returns the two-sided Student-t critical value for the
-// given degrees of freedom and confidence level.
-func tCritical(df int, confidence float64) float64 {
-	// Snap to the nearest supported level; an exact tie (0.97 sits
-	// bitwise-equidistant from 0.95 and 0.99) must not depend on map
-	// iteration order, so ties go to the lower level.
-	level := 0.95
-	best := math.Inf(1)
-	for l := range tTable {
-		if d := math.Abs(l - confidence); d < best || (d == best && l < level) {
-			best, level = d, l
-		}
-	}
-	row := tTable[level]
-	switch {
-	case df < 1:
-		return row[0]
-	case df <= 30:
-		return row[df-1]
-	case df <= 40:
-		return row[30]
-	case df <= 60:
-		return row[31]
-	case df <= 120:
-		return row[32]
-	default:
-		return row[33]
-	}
-}
 
 // UTest is the result of a two-sided Mann-Whitney U test.
 type UTest struct {

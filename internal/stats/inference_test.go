@@ -12,51 +12,6 @@ func near(t *testing.T, name string, got, want, tol float64) {
 	}
 }
 
-// TestMeanCI checks the 95% interval for 1..10 against the textbook
-// value: mean 5.5, sd 3.0277, t(9, .95) = 2.262 → 5.5 ± 2.166.
-func TestMeanCI(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	iv := MeanCI(xs, 0.95)
-	near(t, "mean", iv.Mean, 5.5, 1e-9)
-	near(t, "lo", iv.Lo, 3.334, 0.005)
-	near(t, "hi", iv.Hi, 7.666, 0.005)
-	if iv.N != 10 {
-		t.Errorf("N = %d", iv.N)
-	}
-}
-
-func TestMeanCIDegenerate(t *testing.T) {
-	for _, xs := range [][]float64{nil, {7}} {
-		iv := MeanCI(xs, 0.95)
-		if iv.Lo != iv.Mean || iv.Hi != iv.Mean {
-			t.Errorf("MeanCI(%v) = %+v, want collapsed interval", xs, iv)
-		}
-	}
-	// Constant sample: zero stddev, zero-width interval.
-	iv := MeanCI([]float64{3, 3, 3, 3}, 0.95)
-	near(t, "const lo", iv.Lo, 3, 1e-12)
-	near(t, "const hi", iv.Hi, 3, 1e-12)
-}
-
-func TestTCritical(t *testing.T) {
-	cases := []struct {
-		df   int
-		conf float64
-		want float64
-	}{
-		{1, 0.95, 12.706},
-		{9, 0.95, 2.262},
-		{30, 0.95, 2.042},
-		{1000, 0.95, 1.960}, // converges to the normal quantile
-		{9, 0.99, 3.250},
-		{9, 0.90, 1.833},
-		{9, 0.97, 2.262}, // snaps to the nearest supported level (0.95)
-	}
-	for _, c := range cases {
-		near(t, "tCritical", tCritical(c.df, c.conf), c.want, 1e-9)
-	}
-}
-
 // TestMannWhitneySeparated reproduces the classic fixture: {1..5} vs
 // {6..10} gives U = 0; the normal approximation yields z ≈ −2.611 and a
 // two-sided p ≈ 0.009 (scipy's ranksums reports 0.0090).

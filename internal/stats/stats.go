@@ -112,40 +112,6 @@ type Bin struct {
 	Count  int
 }
 
-// Histogram buckets xs into n equal-width bins spanning [min, max]. The
-// final bin is closed on the right so the maximum is counted.
-func Histogram(xs []float64, n int) []Bin {
-	if len(xs) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	width := (hi - lo) / float64(n)
-	bins := make([]Bin, n)
-	for i := range bins {
-		bins[i].Lo = lo + float64(i)*width
-		bins[i].Hi = bins[i].Lo + width
-	}
-	for _, x := range xs {
-		idx := int((x - lo) / width)
-		if idx >= n {
-			idx = n - 1
-		}
-		bins[idx].Count++
-	}
-	return bins
-}
-
 // HistogramInts buckets integer samples with unit-aligned bins of the
 // given width starting at the sample minimum.
 func HistogramInts(xs []int64, width int64) []Bin {

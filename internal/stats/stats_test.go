@@ -132,17 +132,15 @@ func TestMedianDoesNotMutate(t *testing.T) {
 }
 
 func TestHistogramCoversAllSamples(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e12 {
-				xs = append(xs, x)
-			}
+	f := func(raw []int16, w uint8) bool {
+		xs := make([]int64, len(raw))
+		for i, x := range raw {
+			xs[i] = int64(x)
 		}
 		if len(xs) == 0 {
 			return true
 		}
-		bins := Histogram(xs, 7)
+		bins := HistogramInts(xs, int64(w)+1)
 		total := 0
 		for _, b := range bins {
 			total += b.Count
@@ -169,10 +167,10 @@ func TestHistogramIntsBins(t *testing.T) {
 }
 
 func TestHistogramEmptyAndDegenerate(t *testing.T) {
-	if Histogram(nil, 5) != nil {
+	if HistogramInts(nil, 5) != nil {
 		t.Error("empty histogram not nil")
 	}
-	bins := Histogram([]float64{4, 4, 4}, 3)
+	bins := HistogramInts([]int64{4, 4, 4}, 3)
 	total := 0
 	for _, b := range bins {
 		total += b.Count
@@ -230,7 +228,7 @@ func TestKDESilvermanFallback(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	bins := Histogram([]float64{1, 2, 2, 3}, 3)
+	bins := HistogramInts([]int64{1, 2, 2, 3}, 1)
 	if out := RenderHistogram(bins, 20); len(out) == 0 {
 		t.Error("empty histogram render")
 	}

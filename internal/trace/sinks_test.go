@@ -17,9 +17,8 @@ func TestEnabled(t *testing.T) {
 	if !Enabled(r) {
 		t.Error("live recorder reported disabled")
 	}
-	r.SetEnabled(false)
-	if Enabled(r) {
-		t.Error("toggled-off recorder reported enabled")
+	if Enabled((*Recorder)(nil)) {
+		t.Error("nil recorder reported enabled")
 	}
 	if !Enabled(NewJSONLSink(&bytes.Buffer{})) {
 		t.Error("file sink reported disabled")
@@ -40,12 +39,11 @@ func TestTee(t *testing.T) {
 	if len(r.Events()) != 1 || len(r2.Events()) != 1 {
 		t.Error("Tee did not fan out")
 	}
-	r.SetEnabled(false)
-	if !Enabled(tee) {
+	var off *Recorder
+	if !Enabled(Tee(off, r2)) {
 		t.Error("Tee with one live sink reported disabled")
 	}
-	r2.SetEnabled(false)
-	if Enabled(tee) {
+	if Enabled(Tee(off, off)) {
 		t.Error("Tee with no live sink reported enabled")
 	}
 }
@@ -252,11 +250,10 @@ func TestFileSinkSelection(t *testing.T) {
 }
 
 // BenchmarkRecorderDisabled guards the disabled-path overhead of the
-// satellite requirement: emitting through a nil or toggled-off sink
-// must cost ~zero and allocate nothing.
+// disabled path: emitting through a nil recorder must cost ~zero and
+// allocate nothing.
 func BenchmarkRecorderDisabled(b *testing.B) {
-	r := NewRecorder(0)
-	r.SetEnabled(false)
+	var r *Recorder
 	e := Event{Kind: KindCacheFill, Cycle: 1, Addr: 0x40}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -265,8 +262,7 @@ func BenchmarkRecorderDisabled(b *testing.B) {
 }
 
 func TestDisabledRecorderZeroAlloc(t *testing.T) {
-	r := NewRecorder(0)
-	r.SetEnabled(false)
+	var r *Recorder
 	e := Event{Kind: KindCacheFill, Cycle: 1, Addr: 0x40}
 	if allocs := testing.AllocsPerRun(1000, func() { r.Record(e) }); allocs != 0 {
 		t.Errorf("disabled recorder allocated %v/op, want 0", allocs)

@@ -214,33 +214,30 @@ func (m multiSink) Enabled() bool {
 // Recorder collects events in a bounded ring buffer. When the limit is
 // hit the *oldest* events are overwritten so the buffer always holds
 // the newest tail of the run — the interesting part when a gate
-// misfires at the end of a long sweep. The zero value is a disabled
-// recorder; a disabled recorder drops events with near-zero cost so
-// that hot benchmark loops are unaffected.
+// misfires at the end of a long sweep. A nil *Recorder is disabled: it
+// drops events with near-zero cost so that hot benchmark loops are
+// unaffected.
 type Recorder struct {
-	enabled bool
 	limit   int
 	events  []Event
 	start   int // ring: index of the oldest stored event
 	dropped int
 }
 
-// NewRecorder returns an enabled recorder keeping the newest limit
-// events (0 means unlimited).
+// NewRecorder returns a recorder keeping the newest limit events (0
+// means unlimited).
 func NewRecorder(limit int) *Recorder {
-	return &Recorder{enabled: true, limit: limit}
+	return &Recorder{limit: limit}
 }
 
-// Enabled reports whether the recorder stores events.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
+// Enabled reports whether the recorder stores events: it does unless
+// it is nil.
+func (r *Recorder) Enabled() bool { return r != nil }
 
-// SetEnabled toggles recording.
-func (r *Recorder) SetEnabled(on bool) { r.enabled = on }
-
-// Record stores an event if recording is enabled, overwriting the
-// oldest stored event once the limit is reached.
+// Record stores an event unless r is nil, overwriting the oldest
+// stored event once the limit is reached.
 func (r *Recorder) Record(e Event) {
-	if r == nil || !r.enabled {
+	if r == nil {
 		return
 	}
 	if r.limit > 0 && len(r.events) >= r.limit {
@@ -315,26 +312,4 @@ func (r *Recorder) Architectural() []Event {
 		}
 	}
 	return out
-}
-
-// Filter returns the events of the given kind.
-func (r *Recorder) Filter(k Kind) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Count returns how many events of kind k were recorded.
-func (r *Recorder) Count(k Kind) int {
-	n := 0
-	for _, e := range r.Events() {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
 }

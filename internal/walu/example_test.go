@@ -7,23 +7,27 @@ import (
 	"uwm/internal/walu"
 )
 
-// ExampleALU adds and compares words on circuits whose every operation
-// is a contiguous chain of aborting transactions.
-func ExampleALU() {
-	m := core.MustNewMachine(core.Options{Seed: 6})
-	alu, err := walu.New(m, 4)
+// ExampleAdderSpec adds two 4-bit words on a circuit whose every gate
+// is one of a contiguous chain of aborting transactions.
+func ExampleAdderSpec() {
+	m, err := core.NewMachine(core.Options{Seed: 6})
 	if err != nil {
 		panic(err)
 	}
-	sum, carry, err := alu.Add(9, 8)
+	spec, err := walu.AdderSpec(4, false)
 	if err != nil {
 		panic(err)
 	}
-	eq, err := alu.Equal(7, 7)
+	add, err := core.CompileCircuit(m, spec)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("9+8 = %d carry %d; 7==7: %v\n", sum, carry, eq)
+	// Inputs are a0..a3 then b0..b3, LSB first: 9 + 8.
+	out, err := add.Run(1, 0, 0, 1, 0, 0, 0, 1)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("9+8 = sum bits %v carry %d\n", out[:4], out[4])
 	// Output:
-	// 9+8 = 1 carry 1; 7==7: true
+	// 9+8 = sum bits [1 0 0 0] carry 1
 }

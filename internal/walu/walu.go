@@ -1,10 +1,10 @@
-// Package walu builds arithmetic weird circuits — a small ALU whose
-// every operation runs as one contiguous chain of aborting transactions
-// on the μWM (§4's weird circuits, scaled up): ripple-carry adders,
+// Package walu builds arithmetic weird circuits, netlists whose every
+// operation runs as one contiguous chain of aborting transactions on
+// the μWM (§4's weird circuits, scaled up): ripple-carry adders,
 // two's-complement subtractors, equality comparators and multiplexers.
 //
-// Each constructor returns both the netlist (for inspection or further
-// composition) and a compiled circuit bound to a machine. An 8-bit
+// Each builder returns a core.CircuitSpec netlist, which
+// core.CompileCircuit binds to a machine or circopt plans. An 8-bit
 // adder is ~83 transactions; every intermediate value lives only in the
 // data cache.
 package walu
@@ -162,111 +162,4 @@ func MuxSpec(bits int) (*core.CircuitSpec, error) {
 		s.Output(s.Or(s.And(a, selTaps.take()), s.And(b, nselTaps.take())))
 	}
 	return s, nil
-}
-
-// ALU bundles compiled word-level circuits on one machine.
-type ALU struct {
-	bits  int
-	add   *core.Circuit
-	sub   *core.Circuit
-	equal *core.Circuit
-	mux   *core.Circuit
-}
-
-// New compiles an n-bit ALU (adder, subtractor, comparator, mux) on m.
-func New(m *core.Machine, bits int) (*ALU, error) {
-	a := &ALU{bits: bits}
-	spec, err := AdderSpec(bits, false)
-	if err != nil {
-		return nil, err
-	}
-	if a.add, err = core.CompileCircuit(m, spec); err != nil {
-		return nil, fmt.Errorf("walu: adder: %w", err)
-	}
-	if spec, err = SubtractorSpec(bits); err != nil {
-		return nil, err
-	}
-	if a.sub, err = core.CompileCircuit(m, spec); err != nil {
-		return nil, fmt.Errorf("walu: subtractor: %w", err)
-	}
-	if spec, err = EqualSpec(bits); err != nil {
-		return nil, err
-	}
-	if a.equal, err = core.CompileCircuit(m, spec); err != nil {
-		return nil, fmt.Errorf("walu: comparator: %w", err)
-	}
-	if spec, err = MuxSpec(bits); err != nil {
-		return nil, err
-	}
-	if a.mux, err = core.CompileCircuit(m, spec); err != nil {
-		return nil, fmt.Errorf("walu: mux: %w", err)
-	}
-	return a, nil
-}
-
-// Bits returns the ALU's word width.
-func (a *ALU) Bits() int { return a.bits }
-
-// Transactions returns the transaction count of each operation's
-// circuit (add, sub, equal, mux) — the μWM cost model.
-func (a *ALU) Transactions() (add, sub, equal, mux int) {
-	return a.add.Transactions(), a.sub.Transactions(), a.equal.Transactions(), a.mux.Transactions()
-}
-
-// bitsOf splits v into LSB-first bits.
-func (a *ALU) bitsOf(v uint64) []int {
-	out := make([]int, a.bits)
-	for i := range out {
-		out[i] = int(v >> uint(i) & 1)
-	}
-	return out
-}
-
-// wordOf reassembles LSB-first bits.
-func wordOf(bits []int) uint64 {
-	var v uint64
-	for i, b := range bits {
-		if b != 0 {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
-}
-
-// Add returns (a + b) mod 2ⁿ and the carry-out, computed weirdly.
-func (a *ALU) Add(x, y uint64) (uint64, int, error) {
-	out, err := a.add.Run(append(a.bitsOf(x), a.bitsOf(y)...)...)
-	if err != nil {
-		return 0, 0, err
-	}
-	return wordOf(out[:a.bits]), out[a.bits], nil
-}
-
-// Sub returns (a − b) mod 2ⁿ and a no-borrow flag (1 iff a ≥ b).
-func (a *ALU) Sub(x, y uint64) (uint64, int, error) {
-	out, err := a.sub.Run(append(a.bitsOf(x), a.bitsOf(y)...)...)
-	if err != nil {
-		return 0, 0, err
-	}
-	return wordOf(out[:a.bits]), out[a.bits], nil
-}
-
-// Equal reports whether x == y (mod 2ⁿ), computed weirdly.
-func (a *ALU) Equal(x, y uint64) (bool, error) {
-	out, err := a.equal.Run(append(a.bitsOf(x), a.bitsOf(y)...)...)
-	if err != nil {
-		return false, err
-	}
-	return out[0] == 1, nil
-}
-
-// Mux returns x if sel is 1, else y.
-func (a *ALU) Mux(sel int, x, y uint64) (uint64, error) {
-	in := append(a.bitsOf(x), a.bitsOf(y)...)
-	in = append(in, sel&1)
-	out, err := a.mux.Run(in...)
-	if err != nil {
-		return 0, err
-	}
-	return wordOf(out), nil
 }

@@ -7,27 +7,59 @@ import (
 	"uwm/internal/noise"
 )
 
-func alu(t *testing.T, bits int) *ALU {
+// wordCircuit is one compiled n-bit operation of the weird ALU.
+type wordCircuit struct {
+	t    *testing.T
+	c    *core.Circuit
+	bits int
+}
+
+// compile builds spec(bits) on a fresh machine.
+func compile(t *testing.T, bits int, spec func(int) (*core.CircuitSpec, error)) wordCircuit {
 	t.Helper()
 	m, err := core.NewMachine(core.Options{Seed: 61})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(m, bits)
+	s, err := spec(bits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a
+	c, err := core.CompileCircuit(m, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wordCircuit{t, c, bits}
 }
 
+// run feeds each word's low bits, LSB first, then the extra bits, and
+// returns the outputs.
+func (w wordCircuit) run(words []uint64, extra ...int) []int {
+	w.t.Helper()
+	var in []int
+	for _, v := range words {
+		for i := 0; i < w.bits; i++ {
+			in = append(in, int(v>>uint(i)&1))
+		}
+	}
+	out, err := w.c.Run(append(in, extra...)...)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	return out
+}
+
+// word reassembles LSB-first bits.
+func word(bits []int) uint64 { return uint64(wordOfBits(bits)) }
+
+func adder(bits int) (*core.CircuitSpec, error) { return AdderSpec(bits, false) }
+
 func TestAdd4BitExhaustive(t *testing.T) {
-	a := alu(t, 4)
+	add := compile(t, 4, adder)
 	for x := uint64(0); x < 16; x++ {
 		for y := uint64(0); y < 16; y++ {
-			sum, carry, err := a.Add(x, y)
-			if err != nil {
-				t.Fatal(err)
-			}
+			out := add.run([]uint64{x, y})
+			sum, carry := word(out[:4]), out[4]
 			total := x + y
 			if sum != total&0xF || carry != int(total>>4) {
 				t.Errorf("%d+%d = %d carry %d", x, y, sum, carry)
@@ -37,13 +69,11 @@ func TestAdd4BitExhaustive(t *testing.T) {
 }
 
 func TestSub4BitExhaustive(t *testing.T) {
-	a := alu(t, 4)
+	sub := compile(t, 4, SubtractorSpec)
 	for x := uint64(0); x < 16; x++ {
 		for y := uint64(0); y < 16; y++ {
-			diff, geq, err := a.Sub(x, y)
-			if err != nil {
-				t.Fatal(err)
-			}
+			out := sub.run([]uint64{x, y})
+			diff, geq := word(out[:4]), out[4]
 			if diff != (x-y)&0xF {
 				t.Errorf("%d-%d = %d", x, y, diff)
 			}
@@ -59,22 +89,18 @@ func TestSub4BitExhaustive(t *testing.T) {
 }
 
 func TestEqual4BitExhaustive(t *testing.T) {
-	a := alu(t, 4)
+	eq := compile(t, 4, EqualSpec)
 	for x := uint64(0); x < 16; x++ {
 		for y := uint64(0); y < 16; y++ {
-			eq, err := a.Equal(x, y)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if eq != (x == y) {
-				t.Errorf("Equal(%d,%d) = %v", x, y, eq)
+			if got := eq.run([]uint64{x, y})[0] == 1; got != (x == y) {
+				t.Errorf("Equal(%d,%d) = %v", x, y, got)
 			}
 		}
 	}
 }
 
 func TestMux4Bit(t *testing.T) {
-	a := alu(t, 4)
+	mux := compile(t, 4, MuxSpec)
 	cases := []struct {
 		sel  int
 		x, y uint64
@@ -82,10 +108,7 @@ func TestMux4Bit(t *testing.T) {
 		{1, 0xA, 0x5}, {0, 0xA, 0x5}, {1, 0xF, 0x0}, {0, 0x0, 0xF}, {1, 0x3, 0x3},
 	}
 	for _, c := range cases {
-		got, err := a.Mux(c.sel, c.x, c.y)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := word(mux.run([]uint64{c.x, c.y}, c.sel)[:4])
 		want := c.y
 		if c.sel == 1 {
 			want = c.x
@@ -100,37 +123,25 @@ func TestEightBitRandom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("8-bit circuits are large")
 	}
-	a := alu(t, 8)
-	add, sub, eq, mux := a.Transactions()
-	t.Logf("8-bit ALU transactions: add=%d sub=%d equal=%d mux=%d", add, sub, eq, mux)
+	add, sub, eq := compile(t, 8, adder), compile(t, 8, SubtractorSpec), compile(t, 8, EqualSpec)
+	t.Logf("8-bit transactions: add=%d sub=%d equal=%d", add.c.Transactions(), sub.c.Transactions(), eq.c.Transactions())
 	rng := noise.NewRNG(17)
 	for i := 0; i < 12; i++ {
 		x, y := rng.Uint64()&0xFF, rng.Uint64()&0xFF
-		sum, carry, err := a.Add(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if total := x + y; sum != total&0xFF || carry != int(total>>8) {
+		out := add.run([]uint64{x, y})
+		if sum, carry, total := word(out[:8]), out[8], x+y; sum != total&0xFF || carry != int(total>>8) {
 			t.Errorf("%d+%d = %d/%d", x, y, sum, carry)
 		}
-		diff, _, err := a.Sub(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff != (x-y)&0xFF {
+		if diff := word(sub.run([]uint64{x, y})[:8]); diff != (x-y)&0xFF {
 			t.Errorf("%d-%d = %d", x, y, diff)
 		}
-		eqv, err := a.Equal(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eqv != (x == y) {
+		if eqv := eq.run([]uint64{x, y})[0] == 1; eqv != (x == y) {
 			t.Errorf("Equal(%d,%d) = %v", x, y, eqv)
 		}
 	}
 	// Equality fast-path: identical operands.
-	if eqv, err := a.Equal(0x5A, 0x5A); err != nil || !eqv {
-		t.Errorf("Equal(x,x) = %v, %v", eqv, err)
+	if eqv := eq.run([]uint64{0x5A, 0x5A})[0] == 1; !eqv {
+		t.Error("Equal(x,x) = false")
 	}
 }
 
